@@ -19,6 +19,7 @@ from .semantics import (
     run_measure_many,
     run_measure_once,
     run_multiscan,
+    run_prefixes,
     run_prfa,
 )
 from .analysis import (
@@ -56,6 +57,7 @@ __all__ = [
     "run_measure_many",
     "run_measure_once",
     "run_multiscan",
+    "run_prefixes",
     "run_prfa",
     "transition_monoid",
     "tv_distance",

@@ -13,6 +13,7 @@ construction and all operations here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class ClassicalAutomaton:
     def n_states(self) -> int:
         return len(self.states)
 
-    @property
+    @cached_property
     def halting(self) -> frozenset:
         if self.halting_mode == HALT_ON_ENTER:
             return self.accepting | self.rejecting
@@ -112,7 +113,7 @@ class ProbabilisticAutomaton:
     def n_states(self) -> int:
         return len(self.states)
 
-    @property
+    @cached_property
     def halting(self) -> frozenset:
         return self.accepting | self.rejecting
 
@@ -258,7 +259,14 @@ def validate_classical(c: ClassicalAutomaton) -> list:
 
 
 def validate_prfa(p: ProbabilisticAutomaton, tol: float = 1e-12) -> list:
+    """Invariant report for PRFAs.
+
+    A missing (state, symbol) entry of a non-halting state is an implicit
+    self-loop and counts in the reversibility check; halting states have no
+    outgoing edges.
+    """
     problems = []
+    n = p.n_states
     total = 0.0
     for _, prob in p.initial_distribution:
         if prob < -tol:
@@ -267,6 +275,11 @@ def validate_prfa(p: ProbabilisticAutomaton, tol: float = 1e-12) -> list:
     if abs(total - 1.0) > tol:
         problems.append(f"initial distribution sums to {total!r}")
     for (s, a), edges in p.transitions.items():
+        if s in p.halting:
+            problems.append(f"halting state {p.states[s]} has outgoing edges on {a!r}")
+        if any(not 0 <= t < n for t, _ in edges):
+            problems.append(f"edge out of ({p.states[s]}, {a!r}) targets an invalid state")
+            continue
         mass = sum(prob for _, prob in edges)
         if abs(mass - 1.0) > tol:
             problems.append(
@@ -275,7 +288,7 @@ def validate_prfa(p: ProbabilisticAutomaton, tol: float = 1e-12) -> list:
         if any(prob < -tol for _, prob in edges):
             problems.append(f"negative probability out of ({p.states[s]}, {a!r})")
     seen = {}
-    for (s, a), edges in sorted(p.transitions.items()):
+    for (s, a), edges in sorted(_explicit_transitions(p).items()):
         for t, prob in edges:
             if prob <= 0:
                 continue
@@ -287,6 +300,16 @@ def validate_prfa(p: ProbabilisticAutomaton, tol: float = 1e-12) -> list:
                 )
             seen[key] = s
     return problems
+
+
+def _explicit_transitions(p: ProbabilisticAutomaton) -> dict:
+    """The transitions with every implicit self-loop of a non-halting state spelled out."""
+    out = dict(p.transitions)
+    for sym in tuple(p.alphabet) + (LEFT_END, RIGHT_END):
+        for s in range(p.n_states):
+            if s not in p.halting:
+                out.setdefault((s, sym), [(s, 1.0)])
+    return out
 
 
 def is_reversible(c: ClassicalAutomaton):
@@ -341,14 +364,16 @@ def prfa_to_qfa(p: ProbabilisticAutomaton, tol: float = linalg.DEFAULT_TOL) -> Q
     if problems:
         raise ValueError("invalid PRFA: " + "; ".join(problems))
     n = p.n_states
+    # halting rows stay unspecified: rows entering a halting state already span it
+    transitions = _explicit_transitions(p)
     unitaries = {}
     for sym in tuple(p.alphabet) + (LEFT_END, RIGHT_END):
         partial = np.zeros((n, n), dtype=complex)
         rows = set()
         for s in range(n):
-            if (s, sym) not in p.transitions:
+            if (s, sym) not in transitions:
                 continue
-            for t, prob in p.transitions[(s, sym)]:
+            for t, prob in transitions[(s, sym)]:
                 partial[s, t] = np.sqrt(prob)
             rows.add(s)
         if rows:

@@ -41,7 +41,7 @@ def _load(path, tolerance):
         auto = serialize.load(path)
     except FileNotFoundError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except serialize.FileFormatError as exc:
+    except ValueError as exc:  # FileFormatError, or a value the constructors reject
         raise CliError(f"{path}: {exc}") from exc
     if isinstance(auto, QuantumAutomaton):
         problems = validate(auto, tolerance)
@@ -302,34 +302,16 @@ def _in_astar_bstar(word: str) -> bool:
     return True
 
 
-def _verify_modp(p, seed):
-    auto = constructions.modp_qfa(p, seed)
+def _verify_modp(auto, p, bound, bound_label):
+    outs = semantics.run_prefixes(auto, "a" * (2 * p))
     margin = float("inf")
     for j in range(1, p):
-        out = semantics.run_measure_many(auto, "a" * j)
-        margin = min(margin, out.p_rej - (1.0 / 8.0 - 1e-9))
+        margin = min(margin, outs[j].p_rej - (bound - 1e-9))
     accept = float("inf")
     for mult in (p, 2 * p):
-        out = semantics.run_measure_many(auto, "a" * mult)
-        accept = min(accept, 1e-9 - abs(out.p_acc - 1.0))
+        accept = min(accept, 1e-9 - abs(outs[mult].p_acc - 1.0))
     return [
-        ("non-multiples rejected with probability >= 1/8", margin),
-        ("multiples accepted with probability 1", accept),
-    ]
-
-
-def _verify_modp_amplified(p, epsilon, seed):
-    auto = constructions.modp_qfa_amplified(p, epsilon, seed)
-    margin = float("inf")
-    for j in range(1, p):
-        out = semantics.run_measure_many(auto, "a" * j)
-        margin = min(margin, out.p_rej - (1.0 - epsilon - 1e-9))
-    accept = float("inf")
-    for mult in (p, 2 * p):
-        out = semantics.run_measure_many(auto, "a" * mult)
-        accept = min(accept, 1e-9 - abs(out.p_acc - 1.0))
-    return [
-        (f"non-multiples rejected with probability >= {1.0 - epsilon}", margin),
+        (f"non-multiples rejected with probability >= {bound_label}", margin),
         ("multiples accepted with probability 1", accept),
     ]
 
@@ -338,8 +320,7 @@ def _verify_equality(n, epsilon, n_max, seed):
     auto = constructions.equality_qfa(n, epsilon, n_max, seed)
     accept = None
     reject = float("inf")
-    for length in range(0, n_max + 1):
-        out = semantics.run_measure_many(auto, "a" * length)
+    for length, out in enumerate(semantics.run_prefixes(auto, "a" * n_max)):
         if length == n:
             accept = 1e-9 - abs(out.p_acc - 1.0)
         else:
@@ -368,13 +349,11 @@ def _verify_prfa_trio():
     qfa = prfa_to_qfa(prfa)
     margin = float("inf")
     chain = float("inf")
-    for j in range(0, 41):
-        word = "a" * j
-        out = semantics.run_prfa(prfa, word)
+    for j, qout in enumerate(semantics.run_prefixes(qfa, "a" * 40)):
+        out = semantics.run_prfa(prfa, "a" * j)
         member = j >= 3 and j % 2 == 1
         correct = out.p_acc if member else out.p_rej
         margin = min(margin, correct - (2.0 / 3.0 - 1e-9))
-        qout = semantics.run_measure_many(qfa, word)
         chain = min(chain, 1e-9 - abs(qout.p_acc - out.p_acc))
         chain = min(chain, 1e-9 - abs(qout.p_rej - out.p_rej))
     return [
@@ -390,9 +369,12 @@ def cmd_verify(args) -> int:
         elif args.target == "astarbstar":
             checks = _verify_astarbstar()
         elif args.target == "modp":
-            checks = _verify_modp(args.p, args.seed)
+            auto = constructions.modp_qfa(args.p, args.seed)
+            checks = _verify_modp(auto, args.p, 1.0 / 8.0, "1/8")
         elif args.target == "modp-amplified":
-            checks = _verify_modp_amplified(args.p, _resolve_epsilon(args), args.seed)
+            epsilon = _resolve_epsilon(args)
+            auto = constructions.modp_qfa_amplified(args.p, epsilon, args.seed)
+            checks = _verify_modp(auto, args.p, 1.0 - epsilon, 1.0 - epsilon)
         elif args.target == "equality":
             checks = _verify_equality(args.n, _resolve_epsilon(args), args.n_max, args.seed)
         elif args.target == "blocks":

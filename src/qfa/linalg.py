@@ -224,7 +224,8 @@ def direct_sum(blocks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Structured unitary operators.  Each exposes dim, apply(v), dense() and
 # unitarity_defect(); apply() follows the same row convention as dense
-# matrices (basis state i is sent to the i-th row of the dense form).
+# matrices (basis state i is sent to the i-th row of the dense form) and,
+# like ``v @ m``, always returns a new array.
 # ---------------------------------------------------------------------------
 
 
@@ -233,7 +234,7 @@ class IdentityOp:
         self.dim = int(dim)
 
     def apply(self, v):
-        return v
+        return v.copy()
 
     def dense(self):
         return np.eye(self.dim, dtype=complex)
@@ -253,12 +254,8 @@ class TensorPowerOp:
         self.dim = self.base.shape[0] ** self.copies
 
     def apply(self, v):
-        k = self.base.shape[0]
-        t = v.reshape((k,) * self.copies)
-        # row convention: acting on axis j contracts with base rows
-        for axis in range(self.copies):
-            t = np.moveaxis(np.tensordot(t, self.base, axes=([axis], [0])), -1, axis)
-        return t.reshape(self.dim)
+        t = np.array(v, dtype=complex).reshape(1, self.dim)
+        return _tensor_powers(self.base.T[np.newaxis], t, self.copies).reshape(self.dim)
 
     def dense(self):
         out = self.base
@@ -267,7 +264,41 @@ class TensorPowerOp:
         return out
 
     def unitarity_defect(self):
-        return unitarity_defect(self.base)
+        """Exact defect of the power, from the base's Gram matrix G.
+
+        The Gram matrix of the power is G tensored d times: its diagonal holds
+        products of d diagonal entries of G, and every off-diagonal entry has
+        at least one off-diagonal factor.
+        """
+        if not np.all(np.isfinite(self.base.view(float))):
+            return float("inf")
+        gram = self.base.conj().T @ self.base
+        d = self.copies
+        diag = np.real(np.diag(gram))
+        off = np.abs(gram - np.diag(np.diag(gram))).max()
+        return float(max(
+            off * np.abs(gram).max() ** (d - 1),
+            abs(diag.max() ** d - 1.0),
+            abs(diag.min() ** d - 1.0),
+        ))
+
+
+def _tensor_powers(bases_t, t, copies: int) -> np.ndarray:
+    """Apply g tensor powers of k x k bases to g blocks at once, in place.
+
+    ``bases_t`` holds the transposed bases as a (g, k, k) array and ``t`` the
+    blocks as a C-contiguous complex (g, k**copies) array, which is
+    overwritten with the result.  Each round contracts the leading tensor axis
+    with the base rows and moves the new axis to the back, so after
+    ``copies`` rounds every axis is contracted once and the order is restored.
+    """
+    g, k, _ = bases_t.shape
+    rest = t.shape[1] // k
+    prod = np.empty((g, k, rest), dtype=complex)
+    for _ in range(copies):
+        np.matmul(bases_t, t.reshape(g, k, rest), out=prod)
+        t.reshape(g, rest, k)[...] = prod.transpose(0, 2, 1)
+    return t
 
 
 class PermutationOp:
@@ -294,7 +325,11 @@ class PermutationOp:
 
 
 class BlockDiagOp:
-    """Direct sum of operators, in block order."""
+    """Direct sum of operators, in block order.
+
+    The first ``apply`` lowers the operator into a short list of stages,
+    cached on the op; see ``_factors`` and ``_Stage``.
+    """
 
     def __init__(self, blocks):
         self.blocks = list(blocks)
@@ -304,13 +339,14 @@ class BlockDiagOp:
             self.offsets.append(off)
             off += operator_dim(b)
         self.dim = off
+        self._stages = None
 
     def apply(self, v):
-        out = np.empty_like(v)
-        for off, b in zip(self.offsets, self.blocks):
-            k = operator_dim(b)
-            out[off : off + k] = apply(b, v[off : off + k])
-        return out
+        if self._stages is None:
+            self._stages = [_Stage(f) for f in _factors(self)]
+        for stage in self._stages:
+            v = stage.apply(v)
+        return v
 
     def dense(self):
         return direct_sum([to_dense(b) for b in self.blocks])
@@ -369,11 +405,10 @@ class PlaneRotationOp:
     def apply(self, v):
         e_amp = v[self.axis]
         u_amp = np.vdot(self.target, v)
-        out = v.copy()
+        out = np.array(v, dtype=complex)
         out[self.axis] = 0.0
-        out = out - u_amp * self.target
-        # e -> u, u -> -e
-        out = out + e_amp * self.target
+        # e -> u, u -> -e; updated in place to keep one temporary
+        out += (e_amp - u_amp) * self.target
         out[self.axis] += -u_amp
         return out
 
@@ -388,6 +423,77 @@ class PlaneRotationOp:
 
     def unitarity_defect(self):
         return float(abs(norm_squared(self.target) - 1.0))
+
+
+def _factors(op) -> list:
+    """``op`` as factors applied in order, with no ComposedOp inside a block.
+
+    A direct sum of products is the product of direct sums, so the factor
+    lists of the blocks are padded with identities to a common length and
+    zipped into one block-diagonal stage per position.
+    """
+    if isinstance(op, ComposedOp):
+        return [g for f in op.factors for g in _factors(f)]
+    if isinstance(op, BlockDiagOp):
+        lists = [_factors(b) for b in op.blocks]
+        depth = max((len(fs) for fs in lists), default=1)
+        for fs in lists:
+            fs += [IdentityOp(operator_dim(fs[0]))] * (depth - len(fs))
+        return [BlockDiagOp([fs[i] for fs in lists]) for i in range(depth)]
+    return [op]
+
+
+def _leaves(op, offset: int, out: list):
+    """Flatten nested direct sums into (offset, leaf operator) pairs."""
+    if isinstance(op, BlockDiagOp):
+        for off, b in zip(op.offsets, op.blocks):
+            _leaves(b, offset + off, out)
+    else:
+        out.append((offset, op))
+
+
+class _Stage:
+    """One lowered factor of a block-diagonal operator.
+
+    Identity leaves are skipped, permutation leaves merge into one gather,
+    tensor powers of equal shape run as one batched kernel, and any other
+    leaf (dense, plane rotation) applies itself to its slice.
+    """
+
+    def __init__(self, op):
+        leaves = []
+        _leaves(op, 0, leaves)
+        self.gather = None
+        groups = {}
+        self.others = []
+        for off, leaf in leaves:
+            if isinstance(leaf, IdentityOp):
+                continue
+            if isinstance(leaf, PermutationOp):
+                if self.gather is None:
+                    self.gather = np.arange(op.dim)
+                self.gather[off + leaf.dest] = off + np.arange(leaf.dim)
+            elif isinstance(leaf, TensorPowerOp):
+                groups.setdefault((leaf.base.shape[0], leaf.copies), []).append((off, leaf))
+            else:
+                self.others.append((off, leaf))
+        self.groups = []
+        for (_, copies), members in groups.items():
+            bases_t = np.stack([leaf.base.T for _, leaf in members])
+            offsets = np.array([off for off, _ in members])
+            index = offsets[:, np.newaxis] + np.arange(members[0][1].dim)
+            self.groups.append((bases_t, index, copies))
+
+    def apply(self, v):
+        v = np.asarray(v, dtype=complex)
+        out = v.copy() if self.gather is None else v[self.gather]
+        for bases_t, index, copies in self.groups:
+            out[index] = _tensor_powers(bases_t, v[index], copies)
+        for off, leaf in self.others:
+            k = operator_dim(leaf)
+            seg = v[off : off + k]
+            out[off : off + k] = seg @ leaf if isinstance(leaf, np.ndarray) else leaf.apply(seg)
+        return out
 
 
 STRUCTURED_OPS = (IdentityOp, TensorPowerOp, PermutationOp, BlockDiagOp, ComposedOp, PlaneRotationOp)

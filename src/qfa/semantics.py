@@ -1,7 +1,8 @@
 """Exact runners for every execution model.
 
 ``run_measure_many`` observes after every letter (the general model used
-throughout), ``run_measure_once`` applies a single observation at the end,
+throughout), ``run_prefixes`` gives its outcome on every prefix of a word in
+one pass, ``run_measure_once`` applies a single observation at the end,
 ``run_multiscan`` repeats the measure-many pass over the tape, and
 ``run_prfa`` / ``run_dfa`` cover the classical machines.
 
@@ -43,6 +44,26 @@ def _working_stream(q, word):
     return (LEFT_END,) + tuple(word) + (RIGHT_END,)
 
 
+def _halting_indices(q: QuantumAutomaton):
+    return (
+        np.array(sorted(q.accepting), dtype=np.intp),
+        np.array(sorted(q.rejecting), dtype=np.intp),
+    )
+
+
+def _observe(psi, acc_idx, rej_idx):
+    """Measure once: accept and reject probabilities and the un-renormalized residue.
+
+    ``psi`` must be the fresh result of ``linalg.apply``; its halting
+    amplitudes are zeroed in place.
+    """
+    d_acc = float(np.sum(np.abs(psi[acc_idx]) ** 2))
+    d_rej = float(np.sum(np.abs(psi[rej_idx]) ** 2))
+    psi[acc_idx] = 0.0
+    psi[rej_idx] = 0.0
+    return d_acc, d_rej, psi
+
+
 def run_measure_many(q: QuantumAutomaton, word) -> RunOutcome:
     """Apply each symbol's unitary and observe after every step.
 
@@ -50,21 +71,46 @@ def run_measure_many(q: QuantumAutomaton, word) -> RunOutcome:
     un-renormalized non-halting projection continues.  ``p_non`` is the
     squared norm of the residue after the right endmarker.
     """
-    acc_idx = sorted(q.accepting)
-    rej_idx = sorted(q.rejecting)
+    acc_idx, rej_idx = _halting_indices(q)
     psi = q.initial
     p_acc = 0.0
     p_rej = 0.0
     trace = []
     for sym in _working_stream(q, word):
-        psi = linalg.apply(q.unitaries[sym], psi)
-        p_acc += float(np.sum(np.abs(psi[acc_idx]) ** 2))
-        p_rej += float(np.sum(np.abs(psi[rej_idx]) ** 2))
-        psi = psi.copy()
-        psi[acc_idx] = 0.0
-        psi[rej_idx] = 0.0
+        d_acc, d_rej, psi = _observe(linalg.apply(q.unitaries[sym], psi), acc_idx, rej_idx)
+        p_acc += d_acc
+        p_rej += d_rej
         trace.append((p_acc, p_rej))
     return RunOutcome(p_acc=p_acc, p_rej=p_rej, p_non=linalg.norm_squared(psi), trace=tuple(trace))
+
+
+def run_prefixes(q: QuantumAutomaton, word) -> list:
+    """Measure-many outcome of every prefix of ``word`` in one pass.
+
+    Entry j equals ``run_measure_many(q, word[:j])``, trace included: the
+    residue after ^ word[:j] is shared by all longer prefixes, and the right
+    endmarker is applied to it once per prefix.
+    """
+    acc_idx, rej_idx = _halting_indices(q)
+    end = q.unitaries[RIGHT_END]
+    psi = q.initial
+    p_acc = 0.0
+    p_rej = 0.0
+    trace = []
+    outcomes = []
+    for sym in _working_stream(q, word)[:-1]:
+        d_acc, d_rej, psi = _observe(linalg.apply(q.unitaries[sym], psi), acc_idx, rej_idx)
+        p_acc += d_acc
+        p_rej += d_rej
+        trace.append((p_acc, p_rej))
+        e_acc, e_rej, rest = _observe(linalg.apply(end, psi), acc_idx, rej_idx)
+        p_non = linalg.norm_squared(rest)
+        del rest  # one state vector fewer alive during the next step
+        final = (p_acc + e_acc, p_rej + e_rej)
+        outcomes.append(
+            RunOutcome(p_acc=final[0], p_rej=final[1], p_non=p_non, trace=tuple(trace) + (final,))
+        )
+    return outcomes
 
 
 def run_measure_once(q: QuantumAutomaton, word) -> linalg.OutcomeDistribution:
@@ -84,8 +130,7 @@ def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
     """
     if max_scans < 1:
         raise ValueError("max_scans must be at least 1")
-    acc_idx = sorted(q.accepting)
-    rej_idx = sorted(q.rejecting)
+    acc_idx, rej_idx = _halting_indices(q)
     stream = _working_stream(q, word)
     psi = q.initial
     p_acc = 0.0
@@ -93,12 +138,9 @@ def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
     reports = []
     for _ in range(max_scans):
         for sym in stream:
-            psi = linalg.apply(q.unitaries[sym], psi)
-            p_acc += float(np.sum(np.abs(psi[acc_idx]) ** 2))
-            p_rej += float(np.sum(np.abs(psi[rej_idx]) ** 2))
-            psi = psi.copy()
-            psi[acc_idx] = 0.0
-            psi[rej_idx] = 0.0
+            d_acc, d_rej, psi = _observe(linalg.apply(q.unitaries[sym], psi), acc_idx, rej_idx)
+            p_acc += d_acc
+            p_rej += d_rej
         reports.append(linalg.OutcomeDistribution(p_acc, p_rej, linalg.norm_squared(psi)))
     return ScanReport(per_scan=tuple(reports), scans_executed=max_scans)
 

@@ -33,6 +33,31 @@ class FileFormatError(ValueError):
     pass
 
 
+def _require(doc: dict, kind: str, keys):
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise FileFormatError(f"{kind} file is missing {', '.join(map(repr, missing))}")
+
+
+def _mapping(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{what} must be an object, got {obj!r}")
+    return obj
+
+
+def _state_index(doc: dict) -> dict:
+    states = doc["states"]
+    if not isinstance(states, list) or not all(isinstance(name, str) for name in states):
+        raise FileFormatError("states must be a list of names")
+    return {name: i for i, name in enumerate(states)}
+
+
+def _lookup(index: dict, name, what: str) -> int:
+    if isinstance(name, str) and name in index:
+        return index[name]
+    raise FileFormatError(f"{what} names undeclared state {name!r}")
+
+
 def _amp_out(z: complex):
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -73,15 +98,18 @@ def _operator_out(op):
     raise FileFormatError(f"cannot serialize operator of type {type(op).__name__}")
 
 
-def _operator_in(obj, state_names=None):
+def _operator_in(obj, state_index=None):
     if isinstance(obj, list):
         return np.array([[_amp_in(z) for z in row] for row in obj], dtype=complex)
     if not isinstance(obj, dict):
         raise FileFormatError(f"bad operator spec: {obj!r}")
     if "rows" in obj and "op" not in obj:
-        if state_names is None:
+        if state_index is None:
             raise FileFormatError("partial rows are only allowed inside a qfa file")
-        return {name: _vector_in(row) for name, row in obj["rows"].items()}
+        rows = _mapping(obj["rows"], "rows")
+        for name in rows:
+            _lookup(state_index, name, "a partial row")
+        return {name: _vector_in(row) for name, row in rows.items()}
     kind = obj.get("op")
     if kind == "identity":
         return linalg.IdentityOp(obj["dim"])
@@ -112,12 +140,15 @@ def qfa_to_dict(q: QuantumAutomaton) -> dict:
 
 
 def qfa_from_dict(doc: dict) -> QuantumAutomaton:
+    _require(doc, "qfa", ("states", "alphabet", "accepting", "rejecting", "initial", "unitaries"))
+    index = _state_index(doc)
     states = tuple(doc["states"])
-    index = {name: i for i, name in enumerate(states)}
+    accepting = frozenset(_lookup(index, s, "accepting") for s in doc["accepting"])
+    rejecting = frozenset(_lookup(index, s, "rejecting") for s in doc["rejecting"])
     unitaries = {}
     partial = {}
-    for sym, spec in doc["unitaries"].items():
-        op = _operator_in(spec, state_names=states)
+    for sym, spec in _mapping(doc["unitaries"], "unitaries").items():
+        op = _operator_in(spec, state_index=index)
         if isinstance(op, dict):
             partial[sym] = op
         else:
@@ -139,8 +170,8 @@ def qfa_from_dict(doc: dict) -> QuantumAutomaton:
     return QuantumAutomaton(
         states=states,
         alphabet=tuple(doc["alphabet"]),
-        accepting=frozenset(index[s] for s in doc["accepting"]),
-        rejecting=frozenset(index[s] for s in doc["rejecting"]),
+        accepting=accepting,
+        rejecting=rejecting,
         initial=_vector_in(doc["initial"]),
         unitaries=unitaries,
     )
@@ -165,21 +196,23 @@ def classical_to_dict(c: ClassicalAutomaton) -> dict:
 
 
 def classical_from_dict(doc: dict) -> ClassicalAutomaton:
-    states = tuple(doc["states"])
-    index = {name: i for i, name in enumerate(states)}
+    kind = doc.get("kind", "dfa")
+    _require(doc, kind, ("states", "alphabet", "start", "accepting", "transitions"))
+    index = _state_index(doc)
     transitions = {}
-    for src, row in doc["transitions"].items():
-        for sym, dst in row.items():
-            transitions[(index[src], sym)] = index[dst]
+    for src, row in _mapping(doc["transitions"], "transitions").items():
+        s = _lookup(index, src, "a transition")
+        for sym, dst in _mapping(row, f"transitions of {src!r}").items():
+            transitions[(s, sym)] = _lookup(index, dst, "a transition")
     mode = doc.get("halting_mode", END_OF_WORD)
     if mode not in (END_OF_WORD, HALT_ON_ENTER):
         raise FileFormatError(f"unknown halting mode {mode!r}")
     return ClassicalAutomaton(
-        states=states,
+        states=tuple(doc["states"]),
         alphabet=tuple(doc["alphabet"]),
-        start=index[doc["start"]],
-        accepting=frozenset(index[s] for s in doc["accepting"]),
-        rejecting=frozenset(index[s] for s in doc.get("rejecting", [])),
+        start=_lookup(index, doc["start"], "start"),
+        accepting=frozenset(_lookup(index, s, "accepting") for s in doc["accepting"]),
+        rejecting=frozenset(_lookup(index, s, "rejecting") for s in doc.get("rejecting", [])),
         transitions=transitions,
         halting_mode=mode,
     )
@@ -204,22 +237,34 @@ def prfa_to_dict(p: ProbabilisticAutomaton) -> dict:
 
 
 def prfa_from_dict(doc: dict) -> ProbabilisticAutomaton:
-    states = tuple(doc["states"])
-    index = {name: i for i, name in enumerate(states)}
+    _require(
+        doc, "prfa", ("states", "alphabet", "initial_distribution", "accepting", "transitions")
+    )
+    index = _state_index(doc)
     transitions = {}
-    for src, row in doc["transitions"].items():
-        for sym, edges in row.items():
-            transitions[(index[src], sym)] = [(index[t], float(prob)) for t, prob in edges]
+    for src, row in _mapping(doc["transitions"], "transitions").items():
+        s = _lookup(index, src, "a transition")
+        for sym, edges in _mapping(row, f"transitions of {src!r}").items():
+            transitions[(s, sym)] = _weighted(index, edges, "a transition")
     return ProbabilisticAutomaton(
-        states=states,
+        states=tuple(doc["states"]),
         alphabet=tuple(doc["alphabet"]),
         initial_distribution=tuple(
-            (index[s], float(prob)) for s, prob in doc["initial_distribution"]
+            _weighted(index, doc["initial_distribution"], "initial_distribution")
         ),
-        accepting=frozenset(index[s] for s in doc["accepting"]),
-        rejecting=frozenset(index[s] for s in doc.get("rejecting", [])),
+        accepting=frozenset(_lookup(index, s, "accepting") for s in doc["accepting"]),
+        rejecting=frozenset(_lookup(index, s, "rejecting") for s in doc.get("rejecting", [])),
         transitions=transitions,
     )
+
+
+def _weighted(index: dict, pairs, what: str) -> list:
+    out = []
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise FileFormatError(f"{what} entry must be a [state, probability] pair, got {pair!r}")
+        out.append((_lookup(index, pair[0], what), float(pair[1])))
+    return out
 
 
 def automaton_to_dict(auto) -> dict:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -233,6 +234,106 @@ class TestPrfaToQfa:
                 assert o1.p_acc == pytest.approx(o2.p_acc, abs=1e-9)
                 assert o1.p_rej == pytest.approx(o2.p_rej, abs=1e-9)
                 assert o1.p_non == pytest.approx(o2.p_non, abs=1e-9)
+
+
+def partial_row_prfa(seed: int, max_states: int = 6) -> automata.ProbabilisticAutomaton:
+    """Random PRFA over {a, b} that leaves some (state, symbol) rows undefined.
+
+    A live state without a row keeps its mass, so on that symbol it is its
+    own only predecessor: it is left out of the target pool of the others.
+    """
+    rng = random.Random(seed)
+    n_live = rng.randint(2, max_states - 2)
+    names = [f"s{i}" for i in range(n_live)] + ["acc", "rej"]
+    total = len(names)
+    transitions = {}
+    for sym in ("a", "b", LEFT_END, RIGHT_END):
+        kept = [s for s in range(n_live) if rng.random() < 0.3]
+        defined = [s for s in range(n_live) if s not in kept]
+        pool = [t for t in range(total) if t not in kept]
+        rng.shuffle(pool)
+        cuts = sorted(rng.sample(range(1, len(pool)), len(defined) - 1)) if len(defined) > 1 else []
+        for s, lo, hi in zip(defined, [0] + cuts, cuts + [len(pool)]):
+            weights = [rng.random() + 0.05 for _ in pool[lo:hi]]
+            transitions[(s, sym)] = [(t, w / sum(weights)) for t, w in zip(pool[lo:hi], weights)]
+    weights = [rng.random() + 0.05 for _ in range(n_live)]
+    return automata.ProbabilisticAutomaton(
+        states=tuple(names),
+        alphabet=("a", "b"),
+        initial_distribution=tuple((s, w / sum(weights)) for s, w in enumerate(weights)),
+        accepting=frozenset({n_live}),
+        rejecting=frozenset({n_live + 1}),
+        transitions=transitions,
+    )
+
+
+class TestImplicitSelfLoops:
+    def repro(self, transitions):
+        return automata.ProbabilisticAutomaton(
+            states=("s0", "s1", "acc", "rej"),
+            alphabet=("a",),
+            initial_distribution=((0, 0.5), (1, 0.5)),
+            accepting=frozenset({2}),
+            rejecting=frozenset({3}),
+            transitions=transitions,
+        )
+
+    def test_undefined_row_keeps_its_mass(self):
+        p = self.repro({
+            (0, LEFT_END): [(0, 0.5), (2, 0.5)],
+            (0, "a"): [(0, 1.0)],
+            (1, "a"): [(1, 1.0)],
+            (0, RIGHT_END): [(3, 1.0)],
+            (1, RIGHT_END): [(2, 1.0)],
+        })
+        assert validate_prfa(p) == []
+        want = semantics.run_prfa(p, "a")
+        got = semantics.run_measure_many(prfa_to_qfa(p), "a")
+        assert (want.p_acc, want.p_rej) == pytest.approx((0.75, 0.25), abs=1e-12)
+        assert (got.p_acc, got.p_rej, got.p_non) == pytest.approx(
+            (want.p_acc, want.p_rej, want.p_non), abs=1e-12
+        )
+
+    def test_self_loop_counts_for_reversibility(self):
+        # s1 keeps its mass on ^, so s0 may not enter s1 on ^
+        p = self.repro({
+            (0, LEFT_END): [(1, 1.0)],
+            (0, RIGHT_END): [(3, 1.0)],
+            (1, RIGHT_END): [(2, 1.0)],
+        })
+        problems = validate_prfa(p)
+        assert any("reversibility" in msg for msg in problems)
+        with pytest.raises(ValueError):
+            prfa_to_qfa(p)
+
+    def test_halting_edges_and_bad_targets_flagged(self):
+        p = self.repro({
+            (2, "a"): [(2, 1.0)],
+            (0, "a"): [(7, 1.0)],
+        })
+        problems = validate_prfa(p)
+        assert any("halting state acc" in msg for msg in problems)
+        assert any("invalid state" in msg for msg in problems)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partial_rows_match_on_short_words(self, seed):
+        p = partial_row_prfa(seed)
+        assert validate_prfa(p) == []
+        assert any(
+            (s, sym) not in p.transitions
+            for s in range(p.n_states - 2)
+            for sym in ("a", "b", LEFT_END, RIGHT_END)
+        )
+        q = prfa_to_qfa(p)
+        assert validate(q) == []
+        for word in itertools.chain.from_iterable(
+            itertools.product("ab", repeat=k) for k in range(6)
+        ):
+            o1 = semantics.run_prfa(p, word)
+            o2 = semantics.run_measure_many(q, word)
+            assert (o2.p_acc, o2.p_rej, o2.p_non) == pytest.approx(
+                (o1.p_acc, o1.p_rej, o1.p_non), abs=1e-9
+            )
 
 
 class TestClassicalValidation:

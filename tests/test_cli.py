@@ -192,3 +192,36 @@ class TestRoundTrip:
         assert validate(auto) == []
         out = run_measure_many(auto, "a")
         assert out.p_acc == pytest.approx(1.0, abs=1e-12)
+
+
+class TestMalformedFiles:
+    DFA = {
+        "format_version": 1,
+        "kind": "dfa",
+        "states": ["x"],
+        "alphabet": ["a"],
+        "start": "x",
+        "accepting": [],
+        "transitions": {"x": {"a": "x"}},
+    }
+
+    def run_on(self, tmp_path, doc, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return main([argv[0], str(path)] + argv[1:])
+
+    def test_dfa_without_states(self, tmp_path, capsys):
+        doc = {k: v for k, v in self.DFA.items() if k != "states"}
+        assert self.run_on(tmp_path, doc, ["analyze"]) == 2
+        assert "missing 'states'" in capsys.readouterr().err
+
+    def test_dfa_start_not_declared(self, tmp_path, capsys):
+        doc = dict(self.DFA, start="y")
+        assert self.run_on(tmp_path, doc, ["analyze"]) == 2
+        assert "undeclared state 'y'" in capsys.readouterr().err
+
+    def test_qfa_unknown_accepting_state(self, tmp_path, capsys, example_file):
+        doc = json.loads(open(example_file).read())
+        doc["accepting"] = ["zz"]
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        assert "undeclared state 'zz'" in capsys.readouterr().err

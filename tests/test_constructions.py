@@ -13,6 +13,7 @@ from qfa.constructions import (
     astar_bstar_qfa,
     block_dfa,
     choose_amplification,
+    equality_plan,
     equality_qfa,
     example_qfa,
     find_amplified_sequence,
@@ -27,7 +28,7 @@ from qfa.constructions import (
     solve_success_probability,
 )
 from qfa.linalg import CapacityError
-from qfa.semantics import run_dfa, run_measure_many
+from qfa.semantics import run_dfa, run_measure_many, run_prefixes
 
 
 def in_block_language(word: str, m: int) -> bool:
@@ -334,3 +335,32 @@ def test_every_generator_validates():
         equality_qfa(20, 0.5, 60, 0),
     ):
         assert validate(q, tol=1e-9) == []
+
+
+def closed_form_accept(p, d, coefficients, j, r):
+    """(1/s) * sum over blocks of cos^(2d)(2*pi*k*(j - r)/p)."""
+    ks = np.array(coefficients)
+    return float(np.mean(np.cos(2.0 * np.pi * ks * (j - r) / p) ** (2 * d)))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_modp_amplified_matches_closed_form(seed):
+    p, epsilon = 31, 0.6
+    d = choose_amplification(p, epsilon / 3.0)
+    seq = find_amplified_sequence(p, epsilon / 3.0, d, seed)
+    q = modp_qfa_amplified(p, epsilon, seed)
+    for j, out in enumerate(run_prefixes(q, "a" * (2 * p + 3))):
+        want = closed_form_accept(p, d, seq.coefficients, j, 0)
+        assert out.p_acc == pytest.approx(want, abs=1e-12)
+        assert out.p_rej == pytest.approx(1.0 - want, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_equality_matches_closed_form(seed):
+    n, epsilon, n_max = 20, 0.5, 60
+    p, d, seq = equality_plan(n, epsilon, n_max, seed)
+    q = equality_qfa(n, epsilon, n_max, seed)
+    for j, out in enumerate(run_prefixes(q, "a" * (p + n + 2))):
+        want = closed_form_accept(p, d, seq.coefficients, j, n)
+        assert out.p_acc == pytest.approx(want, abs=1e-12)
+        assert out.p_rej == pytest.approx(1.0 - want, abs=1e-12)

@@ -301,3 +301,77 @@ class TestStructuredOps:
         op = PlaneRotationOp(0, target)
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         assert np.allclose(op.apply(v), linalg.apply(op.dense(), v), atol=1e-12)
+
+
+def random_operator(rng, dim, depth):
+    """Random structured operator of the given dimension, nested up to ``depth``."""
+    kinds = ["identity", "dense", "permutation"]
+    if dim >= 2:
+        kinds.append("rotation")
+    powers = [(k, c) for k in (2, 3) for c in range(1, 5) if k**c == dim]
+    if powers:
+        kinds += ["tensor", "tensor"]
+    if depth > 0:
+        kinds += ["blocks", "blocks", "composed"]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "identity":
+        return IdentityOp(dim)
+    if kind == "dense":
+        return random_unitary(rng, dim)
+    if kind == "permutation":
+        return PermutationOp(rng.permutation(dim))
+    if kind == "rotation":
+        axis = int(rng.integers(dim))
+        target = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        target[axis] = 0.0
+        return PlaneRotationOp(axis, target / np.linalg.norm(target))
+    if kind == "tensor":
+        k, c = powers[int(rng.integers(len(powers)))]
+        return TensorPowerOp(random_unitary(rng, k), c)
+    if kind == "composed":
+        count = int(rng.integers(1, 4))
+        return ComposedOp([random_operator(rng, dim, depth - 1) for _ in range(count)])
+    # direct sum: cut dim into parts, often repeating one part size so that
+    # equal-shape tensor powers share a batch
+    parts = []
+    left = dim
+    while left:
+        size = min(left, int(rng.choice([1, 2, 4, 4, 8, 9])))
+        parts += [size] * min(int(rng.integers(1, 4)), left // size)
+        left = dim - sum(parts)
+    return BlockDiagOp([random_operator(rng, size, depth - 1) for size in parts])
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=120, deadline=None)
+def test_structured_trees_match_dense(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 40))
+    second = int(rng.integers(1, 20))
+    op = BlockDiagOp([random_operator(rng, dim, 3), random_operator(rng, second, 3)])
+    v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+    before = v.copy()
+    expected = v @ op.dense()
+    for _ in range(2):  # the second apply runs the cached lowering
+        got = linalg.apply(op, v)
+        assert np.abs(got - expected).max() <= 1e-12
+    assert np.array_equal(v, before)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_tensor_power_defect_is_exact(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    base = random_unitary(rng, k) + rng.uniform(0, 0.1) * (
+        rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    )
+    for d in range(1, 5):
+        op = TensorPowerOp(base, d)
+        dense = linalg.unitarity_defect(op.dense())
+        assert op.unitarity_defect() == pytest.approx(dense, rel=1e-9, abs=1e-15)
+
+
+def test_tensor_power_defect_grows_with_copies():
+    base = np.diag([1.01, 1.0]).astype(complex)
+    assert TensorPowerOp(base, 4).unitarity_defect() == pytest.approx(1.01**8 - 1.0, rel=1e-12)

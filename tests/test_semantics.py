@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from qfa import semantics
 from qfa.automata import QuantumAutomaton
+from qfa.automata import prfa_to_qfa
 from qfa.constructions import (
     astar_bstar_dfa,
     astar_bstar_qfa,
     block_dfa,
+    equality_qfa,
     example_qfa,
+    modp_qfa_amplified,
     parity_prfa_trio,
     random_prfa,
     rotation_automaton,
@@ -22,6 +25,7 @@ from qfa.semantics import (
     run_measure_many,
     run_measure_once,
     run_multiscan,
+    run_prefixes,
     run_prfa,
     sample_prfa,
 )
@@ -81,6 +85,30 @@ class TestRunMeasureMany:
         for got, want in zip(full.trace[: len(u) + 1], prefix.trace[:-1]):
             assert got[0] == pytest.approx(want[0], abs=1e-12)
             assert got[1] == pytest.approx(want[1], abs=1e-12)
+
+
+class TestRunPrefixes:
+    @pytest.mark.parametrize(
+        "make, word",
+        [
+            (example_qfa, "aaaaaaa"),
+            (astar_bstar_qfa, "aabbaba"),
+            (lambda: prfa_to_qfa(random_prfa(3)), "abbab"),
+            (lambda: prfa_to_qfa(parity_prfa_trio()[1]), "aaaaaa"),
+            (lambda: equality_qfa(20, 0.5, 60, seed=0), "a" * 24),
+            (lambda: modp_qfa_amplified(31, 0.6, seed=0), "a" * 6),
+        ],
+    )
+    def test_every_prefix_equals_measure_many(self, make, word):
+        q = make()
+        outs = run_prefixes(q, word)
+        assert len(outs) == len(word) + 1
+        for j, out in enumerate(outs):
+            assert out == run_measure_many(q, word[:j])
+
+    def test_unknown_symbol_rejected(self):
+        with pytest.raises(ValueError):
+            run_prefixes(example_qfa(), "ab")
 
 
 class TestRunMeasureOnce:
