@@ -63,14 +63,14 @@ def _step_word(c: ClassicalAutomaton, state: int, word) -> int:
     return state
 
 
-def _reachable(c: ClassicalAutomaton, origin: int) -> set:
+def _reachable(transitions: dict, alphabet, origin: int) -> set:
     """States reachable from origin (inclusive) via existing transitions."""
     seen = {origin}
     frontier = [origin]
     while frontier:
         s = frontier.pop()
-        for a in c.alphabet:
-            t = c.transitions.get((s, a))
+        for a in alphabet:
+            t = transitions.get((s, a))
             if t is not None and t not in seen:
                 seen.add(t)
                 frontier.append(t)
@@ -80,7 +80,7 @@ def _reachable(c: ClassicalAutomaton, origin: int) -> set:
 def minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
     """Unique minimal DFA for the same language, states renamed in BFS order."""
     _require_plain(c, "minimize_dfa")
-    alive = sorted(_reachable(c, c.start))
+    alive = sorted(_reachable(c.transitions, c.alphabet, c.start))
 
     # Hopcroft refinement over the reachable part
     inverse = {}
@@ -153,15 +153,41 @@ def minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
 
 def is_all_accepting(c: ClassicalAutomaton, state: int) -> bool:
     """True iff every continuation from this state is accepted."""
-    return all(s in c.accepting for s in _reachable(c, state))
+    return all(s in c.accepting for s in _reachable(c.transitions, c.alphabet, state))
 
 
 def is_all_rejecting(c: ClassicalAutomaton, state: int) -> bool:
-    return all(s not in c.accepting for s in _reachable(c, state))
+    return all(s not in c.accepting for s in _reachable(c.transitions, c.alphabet, state))
 
 
 def _eligible(c: ClassicalAutomaton, state: int) -> bool:
     return not is_all_accepting(c, state) and not is_all_rejecting(c, state)
+
+
+def _shortest_pair_word(t1: dict, t2: dict, alphabet, start: tuple, goal):
+    """Shortest word taking the state pair ``start`` to a pair that satisfies ``goal``.
+
+    Breadth-first over pairs with the letters tried in alphabet order, so the
+    word is also the least in that order among the shortest.  Returns the
+    word as a tuple, or None when no reachable pair satisfies ``goal``.
+    """
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        if goal(pair):
+            word = []
+            while parent[pair] is not None:
+                pair, a = parent[pair]
+                word.append(a)
+            word.reverse()
+            return tuple(word)
+        for a in alphabet:
+            nxt = (t1[(pair[0], a)], t2[(pair[1], a)])
+            if nxt not in parent:
+                parent[nxt] = (pair, a)
+                queue.append(nxt)
+    return None
 
 
 def find_forbidden_construction(c: ClassicalAutomaton):
@@ -179,28 +205,11 @@ def find_forbidden_construction(c: ClassicalAutomaton):
         for q2 in range(n):
             if q1 == q2 or not eligible[q2]:
                 continue
-            parent = {(q1, q2): None}
-            queue = deque([(q1, q2)])
-            found = None
-            while queue:
-                pair = queue.popleft()
-                if pair == (q2, q2):
-                    found = pair
-                    break
-                for a in c.alphabet:
-                    nxt = (c.transitions[(pair[0], a)], c.transitions[(pair[1], a)])
-                    if nxt not in parent:
-                        parent[nxt] = (pair, a)
-                        queue.append(nxt)
-            if found is None or parent[found] is None:
-                continue
-            word = []
-            cur = found
-            while parent[cur] is not None:
-                cur, a = parent[cur]
-                word.append(a)
-            word.reverse()
-            return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=tuple(word))
+            x = _shortest_pair_word(
+                c.transitions, c.transitions, c.alphabet, (q1, q2), lambda pair: pair == (q2, q2)
+            )
+            if x is not None:
+                return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=x)
     return None
 
 
@@ -336,18 +345,6 @@ def reversibilize(c: ClassicalAutomaton, max_states: int = 1000000) -> Classical
         for a in c.alphabet:
             transitions.pop((s, a), None)
 
-    def reachable_closure(origin):
-        seen = {origin}
-        frontier = [origin]
-        while frontier:
-            s = frontier.pop()
-            for a in c.alphabet:
-                t = transitions.get((s, a))
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        return seen
-
     def non_reversibilities():
         preds = {}
         for (s, a), t in transitions.items():
@@ -369,7 +366,7 @@ def reversibilize(c: ClassicalAutomaton, max_states: int = 1000000) -> Classical
         reach = {}
         for (_, _, q, _) in tuples:
             if q not in reach:
-                reach[q] = reachable_closure(q)
+                reach[q] = _reachable(transitions, c.alphabet, q)
         # tuple t is below t' when a source of t' is reachable from t's target
         def is_maximal(tup):
             r = reach[tup[2]]
@@ -514,22 +511,11 @@ def dfa_equivalent(c1: ClassicalAutomaton, c2: ClassicalAutomaton):
         raise ValueError(f"alphabet mismatch: {c1.alphabet} vs {c2.alphabet}")
     d1 = to_plain_dfa(c1)
     d2 = to_plain_dfa(c2)
-    startpair = (d1.start, d2.start)
-    parent = {startpair: None}
-    queue = deque([startpair])
-    while queue:
-        pair = queue.popleft()
-        if (pair[0] in d1.accepting) != (pair[1] in d2.accepting):
-            word = []
-            cur = pair
-            while parent[cur] is not None:
-                cur, a = parent[cur]
-                word.append(a)
-            word.reverse()
-            return False, tuple(word)
-        for a in d1.alphabet:
-            nxt = (d1.transitions[(pair[0], a)], d2.transitions[(pair[1], a)])
-            if nxt not in parent:
-                parent[nxt] = (pair, a)
-                queue.append(nxt)
-    return True, None
+    word = _shortest_pair_word(
+        d1.transitions,
+        d2.transitions,
+        d1.alphabet,
+        (d1.start, d2.start),
+        lambda pair: (pair[0] in d1.accepting) != (pair[1] in d2.accepting),
+    )
+    return word is None, word

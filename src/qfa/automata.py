@@ -86,9 +86,6 @@ class ClassicalAutomaton:
             return self.accepting | self.rejecting
         return frozenset()
 
-    def step(self, state: int, symbol: str) -> int:
-        return self.transitions[(state, symbol)]
-
     def state_index(self, name: str) -> int:
         return self.states.index(name)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .automata import (
     END_OF_WORD,
     HALT_ON_ENTER,
@@ -133,23 +132,6 @@ def astar_bstar_qfa() -> QuantumAutomaton:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RotationBlock:
-    """One rotation coin: angle 2*pi*k/p on the (q0, q1) plane."""
-
-    p: int
-    k: int
-
-    @property
-    def angle(self) -> float:
-        return 2.0 * math.pi * self.k / self.p
-
-    def matrix(self) -> np.ndarray:
-        c = math.cos(self.angle)
-        s = math.sin(self.angle)
-        return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
-
-
 def _rotation_2x2(angle: float) -> np.ndarray:
     c = math.cos(angle)
     s = math.sin(angle)
@@ -165,7 +147,7 @@ def rotation_automaton(p: int, k: int) -> QuantumAutomaton:
     _require_prime(p)
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must be in 1..{p - 1}, got {k}")
-    rot = RotationBlock(p, k).matrix()
+    rot = _rotation_2x2(2.0 * math.pi * k / p)
     return make_qfa(
         states=("q0", "q1", "q_acc", "q_rej"),
         alphabet=("a",),
@@ -216,26 +198,38 @@ def good_sequence_length(p: int) -> int:
     return math.ceil(8.0 * math.log(p))
 
 
+def _sample_sequence(p: int, s: int, rng: random.Random, passes, attempts: int = SEQUENCE_ATTEMPTS):
+    """First of ``attempts`` length-s coefficient sequences drawn from ``rng`` that passes.
+
+    ``passes`` sees the cos table: row j-1, column l holds
+    cos(2*pi*j*k_l/p) for j in 1..p-1.  Checking residues 1..p-1 suffices
+    because every rotation returns to its starting state after p letters.
+    Returns None when no attempt passes.
+    """
+    js = np.arange(1, p)
+    for _ in range(attempts):
+        coeffs = tuple(rng.randrange(1, p) for _ in range(s))
+        if passes(np.cos(2.0 * np.pi * np.outer(js, np.array(coeffs)) / p)):
+            return GoodSequence(p=p, coefficients=coeffs)
+    return None
+
+
 def find_good_sequence(p: int, seed: int = 0) -> GoodSequence:
     """Sample coefficient sequences until one is good for every length class.
 
     Good means: for every j in 1..p-1 at least a quarter of the coefficients
-    reject a^j with probability >= 1/2.  Checking residues 1..p-1 suffices
-    because every rotation returns to its starting state after p letters.
+    reject a^j with probability >= 1/2.
     """
     _require_prime(p)
     if p < 3:
         raise ValueError("p must be at least 3")
     s = good_sequence_length(p)
-    rng = random.Random(seed)
-    ks = np.arange(1, p)
-    for _ in range(SEQUENCE_ATTEMPTS):
-        coeffs = tuple(rng.randrange(1, p) for _ in range(s))
-        angles = 2.0 * np.pi * np.outer(ks, np.array(coeffs)) / p
-        good_counts = (np.cos(angles) ** 2 <= 0.5).sum(axis=1)
-        if np.all(4 * good_counts >= s):
-            return GoodSequence(p=p, coefficients=coeffs)
-    raise CapacityError(f"no good sequence found for p={p} in {SEQUENCE_ATTEMPTS} attempts")
+    sequence = _sample_sequence(
+        p, s, random.Random(seed), lambda cos: np.all(4 * (cos**2 <= 0.5).sum(axis=1) >= s)
+    )
+    if sequence is None:
+        raise CapacityError(f"no good sequence found for p={p} in {SEQUENCE_ATTEMPTS} attempts")
+    return sequence
 
 
 # ---------------------------------------------------------------------------
@@ -309,75 +303,20 @@ def find_amplified_sequence(p: int, delta: float, d: int, seed: int = 0) -> Good
     """Sequence where every length class has a 1-2*delta fraction of delta-good coins."""
     _require_prime(p)
     s = good_sequence_length(p)
-    rng = random.Random(seed)
-    js = np.arange(1, p)
     need = (1.0 - 2.0 * delta) * s
-    for _ in range(SEQUENCE_ATTEMPTS):
-        coeffs = tuple(rng.randrange(1, p) for _ in range(s))
-        cos2 = np.cos(2.0 * np.pi * np.outer(js, np.array(coeffs)) / p) ** 2
-        good_counts = (cos2**d <= delta).sum(axis=1)
-        if np.all(good_counts >= need):
-            return GoodSequence(p=p, coefficients=coeffs)
-    raise CapacityError(
-        f"no delta-good sequence found for p={p}, delta={delta} in {SEQUENCE_ATTEMPTS} attempts"
+    sequence = _sample_sequence(
+        p, s, random.Random(seed), lambda cos: np.all(((cos**2) ** d <= delta).sum(axis=1) >= need)
     )
+    if sequence is None:
+        raise CapacityError(
+            f"no delta-good sequence found for p={p}, delta={delta} in {SEQUENCE_ATTEMPTS} attempts"
+        )
+    return sequence
 
 
 # ---------------------------------------------------------------------------
 # Composite counting automata
 # ---------------------------------------------------------------------------
-
-
-def _composite_dense(p: int, sequence: GoodSequence) -> QuantumAutomaton:
-    """Dense composite of plain rotation coins with a distinguished start.
-
-    The left endmarker spreads amplitude 1/sqrt(s) from the start state to
-    the q0 of every block; each input letter is the direct sum of the block
-    rotations; the right endmarker routes block q0 to that block's accepting
-    state and q1 to its rejecting state.
-    """
-    s = sequence.length
-    names = ["start"]
-    accepting = []
-    rejecting = []
-    for l in range(s):
-        names += [f"b{l}.q0", f"b{l}.q1", f"b{l}.acc", f"b{l}.rej"]
-        accepting.append(1 + 4 * l + 2)
-        rejecting.append(1 + 4 * l + 3)
-    n = len(names)
-
-    blocks_a = [np.eye(1, dtype=complex)]
-    for k in sequence.coefficients:
-        rot = _rotation_2x2(2.0 * math.pi * k / p)
-        block = np.eye(4, dtype=complex)
-        block[:2, :2] = rot
-        blocks_a.append(block)
-    v_a = linalg.direct_sum(blocks_a)
-
-    spread = np.zeros((n, n), dtype=complex)
-    for l in range(s):
-        spread[0, 1 + 4 * l] = 1.0 / math.sqrt(s)
-    v_left = linalg.complete_unitary(spread, {0})
-
-    ender = np.zeros((n, n), dtype=complex)
-    rows = set()
-    for l in range(s):
-        q0, q1, acc, rej = (1 + 4 * l + i for i in range(4))
-        ender[q0, acc] = 1.0
-        ender[q1, rej] = 1.0
-        rows.update({q0, q1})
-    v_right = linalg.complete_unitary(ender, rows)
-
-    initial = np.zeros(n, dtype=complex)
-    initial[0] = 1.0
-    return QuantumAutomaton(
-        states=tuple(names),
-        alphabet=("a",),
-        accepting=frozenset(accepting),
-        rejecting=frozenset(rejecting),
-        initial=initial,
-        unitaries={"a": v_a, LEFT_END: v_left, RIGHT_END: v_right},
-    )
 
 
 def modp_qfa(p: int, seed: int = 0) -> QuantumAutomaton:
@@ -388,7 +327,7 @@ def modp_qfa(p: int, seed: int = 0) -> QuantumAutomaton:
     non-halting states.
     """
     _require_prime(p)
-    return _composite_dense(p, find_good_sequence(p, seed))
+    return _composite_blocks(p, find_good_sequence(p, seed), 1)
 
 
 def _composite_blocks(
@@ -532,13 +471,16 @@ def equality_plan(n: int, epsilon: float, n_max: int, seed: int = 0):
     s = max(good_sequence_length(p), sized)
 
     rng = random.Random(seed)
-    js = np.arange(1, p)
     for _ in range(7):
-        for _ in range(SEQUENCE_ATTEMPTS // 7):
-            coeffs = tuple(rng.randrange(1, p) for _ in range(s))
-            cos2d = np.cos(2.0 * np.pi * np.outer(js, np.array(coeffs)) / p) ** (2 * d)
-            if float(cos2d.mean(axis=1).max()) <= threshold:
-                return p, d, GoodSequence(p=p, coefficients=coeffs)
+        sequence = _sample_sequence(
+            p,
+            s,
+            rng,
+            lambda cos: float((cos ** (2 * d)).mean(axis=1).max()) <= threshold,
+            SEQUENCE_ATTEMPTS // 7,
+        )
+        if sequence is not None:
+            return p, d, sequence
         s *= 2
     raise CapacityError(f"no verified coin sequence found for n={n}, epsilon={epsilon}")
 

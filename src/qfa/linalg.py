@@ -203,11 +203,6 @@ def tv_distance(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
     )
 
 
-def tensor_product(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Kronecker product; unitary whenever both inputs are unitary."""
-    return np.kron(as_matrix(m1), as_matrix(m2))
-
-
 def direct_sum(blocks) -> np.ndarray:
     """Block-diagonal matrix assembled from square blocks."""
     mats = [as_matrix(b) for b in blocks]
@@ -494,6 +489,3 @@ class _Stage:
             seg = v[off : off + k]
             out[off : off + k] = seg @ leaf if isinstance(leaf, np.ndarray) else leaf.apply(seg)
         return out
-
-
-STRUCTURED_OPS = (IdentityOp, TensorPowerOp, PermutationOp, BlockDiagOp, ComposedOp, PlaneRotationOp)

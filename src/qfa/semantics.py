@@ -54,14 +54,29 @@ def _halting_indices(q: QuantumAutomaton):
 def _observe(psi, acc_idx, rej_idx):
     """Measure once: accept and reject probabilities and the un-renormalized residue.
 
-    ``psi`` must be the fresh result of ``linalg.apply``; its halting
-    amplitudes are zeroed in place.
+    ``psi`` must be a vector no one else holds; its halting amplitudes are
+    zeroed in place.
     """
     d_acc = float(np.sum(np.abs(psi[acc_idx]) ** 2))
     d_rej = float(np.sum(np.abs(psi[rej_idx]) ** 2))
     psi[acc_idx] = 0.0
     psi[rej_idx] = 0.0
     return d_acc, d_rej, psi
+
+
+def _measure_many(q: QuantumAutomaton, stream, halting):
+    """Yield the cumulative (p_acc, p_rej) and the residue after each symbol.
+
+    The initial vector is observed once before the first symbol, so mass it
+    puts on halting states counts at once, as in ``run_prfa``.
+    """
+    acc_idx, rej_idx = halting
+    p_acc, p_rej, psi = _observe(q.initial.copy(), acc_idx, rej_idx)
+    for sym in stream:
+        d_acc, d_rej, psi = _observe(linalg.apply(q.unitaries[sym], psi), acc_idx, rej_idx)
+        p_acc += d_acc
+        p_rej += d_rej
+        yield p_acc, p_rej, psi
 
 
 def run_measure_many(q: QuantumAutomaton, word) -> RunOutcome:
@@ -71,15 +86,8 @@ def run_measure_many(q: QuantumAutomaton, word) -> RunOutcome:
     un-renormalized non-halting projection continues.  ``p_non`` is the
     squared norm of the residue after the right endmarker.
     """
-    acc_idx, rej_idx = _halting_indices(q)
-    psi = q.initial
-    p_acc = 0.0
-    p_rej = 0.0
     trace = []
-    for sym in _working_stream(q, word):
-        d_acc, d_rej, psi = _observe(linalg.apply(q.unitaries[sym], psi), acc_idx, rej_idx)
-        p_acc += d_acc
-        p_rej += d_rej
+    for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word), _halting_indices(q)):
         trace.append((p_acc, p_rej))
     return RunOutcome(p_acc=p_acc, p_rej=p_rej, p_non=linalg.norm_squared(psi), trace=tuple(trace))
 
@@ -91,19 +99,13 @@ def run_prefixes(q: QuantumAutomaton, word) -> list:
     residue after ^ word[:j] is shared by all longer prefixes, and the right
     endmarker is applied to it once per prefix.
     """
-    acc_idx, rej_idx = _halting_indices(q)
+    halting = _halting_indices(q)
     end = q.unitaries[RIGHT_END]
-    psi = q.initial
-    p_acc = 0.0
-    p_rej = 0.0
     trace = []
     outcomes = []
-    for sym in _working_stream(q, word)[:-1]:
-        d_acc, d_rej, psi = _observe(linalg.apply(q.unitaries[sym], psi), acc_idx, rej_idx)
-        p_acc += d_acc
-        p_rej += d_rej
+    for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word)[:-1], halting):
         trace.append((p_acc, p_rej))
-        e_acc, e_rej, rest = _observe(linalg.apply(end, psi), acc_idx, rej_idx)
+        e_acc, e_rej, rest = _observe(linalg.apply(end, psi), *halting)
         p_non = linalg.norm_squared(rest)
         del rest  # one state vector fewer alive during the next step
         final = (p_acc + e_acc, p_rej + e_rej)
@@ -130,18 +132,12 @@ def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
     """
     if max_scans < 1:
         raise ValueError("max_scans must be at least 1")
-    acc_idx, rej_idx = _halting_indices(q)
     stream = _working_stream(q, word)
-    psi = q.initial
-    p_acc = 0.0
-    p_rej = 0.0
     reports = []
-    for _ in range(max_scans):
-        for sym in stream:
-            d_acc, d_rej, psi = _observe(linalg.apply(q.unitaries[sym], psi), acc_idx, rej_idx)
-            p_acc += d_acc
-            p_rej += d_rej
-        reports.append(linalg.OutcomeDistribution(p_acc, p_rej, linalg.norm_squared(psi)))
+    steps = _measure_many(q, stream * max_scans, _halting_indices(q))
+    for i, (p_acc, p_rej, psi) in enumerate(steps, start=1):
+        if i % len(stream) == 0:
+            reports.append(linalg.OutcomeDistribution(p_acc, p_rej, linalg.norm_squared(psi)))
     return ScanReport(per_scan=tuple(reports), scans_executed=max_scans)
 
 
@@ -153,9 +149,7 @@ def run_prfa(p: ProbabilisticAutomaton, word) -> RunOutcome:
     means the state keeps its mass, which lets automata omit a left-endmarker
     row exactly like QFAs do.
     """
-    for sym in word:
-        if sym not in p.alphabet:
-            raise ValueError(f"symbol {sym!r} is not in the input alphabet {p.alphabet}")
+    stream = _working_stream(p, word)
     dist = {}
     p_acc = 0.0
     p_rej = 0.0
@@ -169,7 +163,7 @@ def run_prfa(p: ProbabilisticAutomaton, word) -> RunOutcome:
         else:
             dist[s] = dist.get(s, 0.0) + prob
     trace = []
-    for sym in (LEFT_END,) + tuple(word) + (RIGHT_END,):
+    for sym in stream:
         nxt = {}
         for s, mass in dist.items():
             edges = p.transitions.get((s, sym), ((s, 1.0),))
@@ -231,16 +225,14 @@ def run_dfa(c: ClassicalAutomaton, word) -> bool:
     A halt-on-enter run that never reaches a halting state counts as not
     accepted.
     """
-    for sym in word:
-        if sym not in c.alphabet:
-            raise ValueError(f"symbol {sym!r} is not in the input alphabet {c.alphabet}")
+    stream = _working_stream(c, word)
     state = c.start
     if c.halting_mode == HALT_ON_ENTER:
         if state in c.accepting:
             return True
         if state in c.rejecting:
             return False
-        for sym in (LEFT_END,) + tuple(word) + (RIGHT_END,):
+        for sym in stream:
             state = c.transitions[(state, sym)]
             if state in c.accepting:
                 return True

@@ -18,8 +18,6 @@ from . import linalg
 from .automata import (
     END_OF_WORD,
     HALT_ON_ENTER,
-    LEFT_END,
-    RIGHT_END,
     ClassicalAutomaton,
     ProbabilisticAutomaton,
     QuantumAutomaton,
@@ -43,6 +41,13 @@ def _mapping(obj, what: str) -> dict:
     if not isinstance(obj, dict):
         raise FileFormatError(f"{what} must be an object, got {obj!r}")
     return obj
+
+
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise FileFormatError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def _state_index(doc: dict) -> dict:
@@ -142,38 +147,16 @@ def qfa_to_dict(q: QuantumAutomaton) -> dict:
 def qfa_from_dict(doc: dict) -> QuantumAutomaton:
     _require(doc, "qfa", ("states", "alphabet", "accepting", "rejecting", "initial", "unitaries"))
     index = _state_index(doc)
-    states = tuple(doc["states"])
-    accepting = frozenset(_lookup(index, s, "accepting") for s in doc["accepting"])
-    rejecting = frozenset(_lookup(index, s, "rejecting") for s in doc["rejecting"])
-    unitaries = {}
-    partial = {}
-    for sym, spec in _mapping(doc["unitaries"], "unitaries").items():
-        op = _operator_in(spec, state_index=index)
-        if isinstance(op, dict):
-            partial[sym] = op
-        else:
-            unitaries[sym] = op
-    if partial:
-        merged = dict(partial)
-        merged.update(unitaries)
-        return make_qfa(
-            states=states,
-            alphabet=tuple(doc["alphabet"]),
-            accepting=tuple(doc["accepting"]),
-            rejecting=tuple(doc["rejecting"]),
-            initial=_vector_in(doc["initial"]),
-            partial_unitaries=merged,
-        )
-    for sym in tuple(doc["alphabet"]) + (LEFT_END, RIGHT_END):
-        if sym not in unitaries:
-            unitaries[sym] = np.eye(len(states), dtype=complex)
-    return QuantumAutomaton(
-        states=states,
-        alphabet=tuple(doc["alphabet"]),
-        accepting=accepting,
-        rejecting=rejecting,
-        initial=_vector_in(doc["initial"]),
-        unitaries=unitaries,
+    return make_qfa(
+        states=doc["states"],
+        alphabet=_list(doc, "alphabet"),
+        accepting=[_lookup(index, s, "accepting") for s in _list(doc, "accepting")],
+        rejecting=[_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")],
+        initial=_vector_in(_list(doc, "initial")),
+        partial_unitaries={
+            sym: _operator_in(spec, state_index=index)
+            for sym, spec in _mapping(doc["unitaries"], "unitaries").items()
+        },
     )
 
 
@@ -209,10 +192,10 @@ def classical_from_dict(doc: dict) -> ClassicalAutomaton:
         raise FileFormatError(f"unknown halting mode {mode!r}")
     return ClassicalAutomaton(
         states=tuple(doc["states"]),
-        alphabet=tuple(doc["alphabet"]),
+        alphabet=tuple(_list(doc, "alphabet")),
         start=_lookup(index, doc["start"], "start"),
-        accepting=frozenset(_lookup(index, s, "accepting") for s in doc["accepting"]),
-        rejecting=frozenset(_lookup(index, s, "rejecting") for s in doc.get("rejecting", [])),
+        accepting=frozenset(_lookup(index, s, "accepting") for s in _list(doc, "accepting")),
+        rejecting=frozenset(_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")),
         transitions=transitions,
         halting_mode=mode,
     )
@@ -248,12 +231,12 @@ def prfa_from_dict(doc: dict) -> ProbabilisticAutomaton:
             transitions[(s, sym)] = _weighted(index, edges, "a transition")
     return ProbabilisticAutomaton(
         states=tuple(doc["states"]),
-        alphabet=tuple(doc["alphabet"]),
+        alphabet=tuple(_list(doc, "alphabet")),
         initial_distribution=tuple(
-            _weighted(index, doc["initial_distribution"], "initial_distribution")
+            _weighted(index, _list(doc, "initial_distribution"), "initial_distribution")
         ),
-        accepting=frozenset(_lookup(index, s, "accepting") for s in doc["accepting"]),
-        rejecting=frozenset(_lookup(index, s, "rejecting") for s in doc.get("rejecting", [])),
+        accepting=frozenset(_lookup(index, s, "accepting") for s in _list(doc, "accepting")),
+        rejecting=frozenset(_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")),
         transitions=transitions,
     )
 

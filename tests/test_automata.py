@@ -336,6 +336,30 @@ class TestImplicitSelfLoops:
             )
 
 
+def test_initial_halting_mass_counts_before_left_end():
+    # half the initial mass sits on acc; the completed ^ row of acc would move it to rej
+    p = automata.ProbabilisticAutomaton(
+        states=("s0", "acc", "rej"),
+        alphabet=("a",),
+        initial_distribution=((0, 0.5), (1, 0.5)),
+        accepting=frozenset({1}),
+        rejecting=frozenset({2}),
+        transitions={(0, LEFT_END): [(1, 1.0)], (0, RIGHT_END): [(2, 1.0)]},
+    )
+    assert validate_prfa(p) == []
+    q = prfa_to_qfa(p)
+    for word in ("", "a", "aa"):
+        want = semantics.run_prfa(p, word)
+        assert (want.p_acc, want.p_rej) == (1.0, 0.0)
+        got = semantics.run_measure_many(q, word)
+        assert (got.p_acc, got.p_rej, got.p_non) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+        assert np.allclose(got.trace, want.trace, rtol=0.0, atol=1e-12)
+    for out in semantics.run_prefixes(q, "aa"):
+        assert (out.p_acc, out.p_rej, out.p_non) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    for scan in semantics.run_multiscan(q, "a", 3).per_scan:
+        assert scan.as_tuple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+
+
 class TestClassicalValidation:
     def test_halting_state_with_outgoing_flagged(self):
         c = ClassicalAutomaton(

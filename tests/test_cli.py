@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from qfa import serialize
+from qfa import linalg, serialize
 from qfa.cli import main
 from qfa.constructions import astar_bstar_dfa, astar_dfa, example_qfa, modp_qfa
 from qfa.semantics import run_measure_many
@@ -162,6 +163,23 @@ class TestRoundTrip:
             o2 = run_measure_many(back, word)
             assert (o1.p_acc, o1.p_rej, o1.p_non) == (o2.p_acc, o2.p_rej, o2.p_non)
 
+    def test_dense_modp_file_runs_like_structured(self, tmp_path, capsys):
+        # modp files were once written with dense matrices; both forms must load and agree
+        auto = modp_qfa(5, seed=0)
+        dense = dataclasses.replace(
+            auto, unitaries={sym: linalg.to_dense(op) for sym, op in auto.unitaries.items()}
+        )
+        paths = [str(tmp_path / "structured.json"), str(tmp_path / "dense.json")]
+        serialize.save(auto, paths[0])
+        serialize.save(dense, paths[1])
+        assert isinstance(json.load(open(paths[1]))["unitaries"]["a"], list)
+        for mode in (["--mode", "many"], ["--mode", "once"], ["--mode", "scans", "--scans", "2"]):
+            outputs = []
+            for path in paths:
+                assert main(["run", path, "aaaaaaa", "--trace"] + mode) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+
     def test_save_load_save_stable(self, tmp_path, example_file):
         auto = serialize.load(example_file)
         path2 = tmp_path / "copy.json"
@@ -204,6 +222,15 @@ class TestMalformedFiles:
         "accepting": [],
         "transitions": {"x": {"a": "x"}},
     }
+    PRFA = {
+        "format_version": 1,
+        "kind": "prfa",
+        "states": ["s", "acc"],
+        "alphabet": ["a"],
+        "initial_distribution": [["s", 1.0]],
+        "accepting": ["acc"],
+        "transitions": {},
+    }
 
     def run_on(self, tmp_path, doc, argv):
         path = tmp_path / "bad.json"
@@ -225,3 +252,32 @@ class TestMalformedFiles:
         doc["accepting"] = ["zz"]
         assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
         assert "undeclared state 'zz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("accepting", 5), ("alphabet", "a"), ("initial_distribution", {"s": 1.0})]
+    )
+    def test_field_not_a_list(self, tmp_path, capsys, key, value):
+        doc = dict(self.DFA if key != "initial_distribution" else self.PRFA, **{key: value})
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        assert f"{key} must be a list" in capsys.readouterr().err
+
+    def test_qfa_full_matrix_outside_alphabet(self, tmp_path, capsys):
+        one = [[[1.0, 0.0]]]
+        doc = {
+            "format_version": 1,
+            "kind": "qfa",
+            "states": ["q0"],
+            "alphabet": ["a"],
+            "accepting": [],
+            "rejecting": [],
+            "initial": [[1.0, 0.0]],
+            "unitaries": {"a": one, "b": one},
+        }
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        assert "outside the working alphabet: ['b']" in capsys.readouterr().err
+
+    def test_qfa_duplicate_state_names(self, tmp_path, capsys, example_file):
+        doc = json.loads(open(example_file).read())
+        doc["states"][1] = doc["states"][0]
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        assert "duplicate state names" in capsys.readouterr().err

@@ -343,12 +343,22 @@ def closed_form_accept(p, d, coefficients, j, r):
     return float(np.mean(np.cos(2.0 * np.pi * ks * (j - r) / p) ** (2 * d)))
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_modp_amplified_matches_closed_form(seed):
+@pytest.mark.parametrize(
+    "target, seed",
+    [
+        pytest.param("modp-amplified", 0, id="0"),
+        pytest.param("modp-amplified", 7, id="7"),
+        pytest.param("modp", 0, id="modp-0"),
+    ],
+)
+def test_modp_amplified_matches_closed_form(target, seed):
     p, epsilon = 31, 0.6
-    d = choose_amplification(p, epsilon / 3.0)
-    seq = find_amplified_sequence(p, epsilon / 3.0, d, seed)
-    q = modp_qfa_amplified(p, epsilon, seed)
+    if target == "modp":
+        d, seq, q = 1, find_good_sequence(p, seed), modp_qfa(p, seed)
+    else:
+        d = choose_amplification(p, epsilon / 3.0)
+        seq = find_amplified_sequence(p, epsilon / 3.0, d, seed)
+        q = modp_qfa_amplified(p, epsilon, seed)
     for j, out in enumerate(run_prefixes(q, "a" * (2 * p + 3))):
         want = closed_form_accept(p, d, seq.coefficients, j, 0)
         assert out.p_acc == pytest.approx(want, abs=1e-12)
@@ -364,3 +374,24 @@ def test_equality_matches_closed_form(seed):
         want = closed_form_accept(p, d, seq.coefficients, j, n)
         assert out.p_acc == pytest.approx(want, abs=1e-12)
         assert out.p_rej == pytest.approx(1.0 - want, abs=1e-12)
+
+
+def test_sampled_coefficients_are_stable():
+    # recorded sequences; seeds 1 (mod 5) and 7 (mod 11) pass only after redraws
+    assert find_good_sequence(5, 0).coefficients == (4, 4, 1, 3, 4, 4, 3, 4, 3, 2, 2, 3, 2)
+    assert find_good_sequence(5, 1).coefficients == (4, 1, 4, 3, 2, 1, 3, 1, 1, 1, 1, 4, 2)
+    d = choose_amplification(11, 0.2)
+    assert d == 5
+    assert find_amplified_sequence(11, 0.2, d, 0).coefficients == (
+        7, 7, 1, 5, 9, 8, 7, 5, 8, 6, 10, 4, 9, 3, 5, 3, 2, 10, 5, 9,
+    )
+    assert find_amplified_sequence(11, 0.2, d, 7).coefficients == (
+        6, 3, 7, 1, 2, 9, 2, 6, 10, 1, 9, 4, 1, 2, 7, 7, 2, 4, 2, 9,
+    )
+    for seed, digits in (
+        (0, "441344343223213231134134324431114143231222241134"),
+        (1, "213144442141441432131111424124423224314123134233"),
+    ):
+        p, d, seq = equality_plan(2, 0.5, 4, seed)
+        assert (p, d) == (5, 2)
+        assert seq.coefficients == tuple(int(ch) for ch in digits)

@@ -171,19 +171,20 @@ class TestTvDistance:
 
 class TestTensorAndDirectSum:
     def test_identity_tensor(self):
-        out = linalg.tensor_product(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
-        assert np.array_equal(out, np.eye(6, dtype=complex))
+        out = linalg.TensorPowerOp(np.eye(2, dtype=complex), 3).dense()
+        assert np.array_equal(out, np.eye(8, dtype=complex))
 
     def test_rotation_corner_entry(self):
         phi = 0.7
         r = np.array(
             [[math.cos(phi), 1j * math.sin(phi)], [1j * math.sin(phi), math.cos(phi)]]
         )
-        out = linalg.tensor_product(r, r)
+        out = linalg.TensorPowerOp(r, 2).dense()
         assert out[0, 0] == pytest.approx(math.cos(phi) ** 2, abs=1e-15)
 
     def test_dimensions_multiply(self):
-        out = linalg.tensor_product(np.eye(2, dtype=complex), np.ones((3, 3), dtype=complex))
+        assert linalg.TensorPowerOp(np.ones((3, 3), dtype=complex), 2).dense().shape == (9, 9)
+        out = np.kron(np.eye(2, dtype=complex), np.ones((3, 3), dtype=complex))
         assert out.shape == (6, 6)
 
     def test_direct_sum_single(self):
@@ -204,7 +205,8 @@ class TestTensorAndDirectSum:
         rng = np.random.default_rng(seed)
         a = random_unitary(rng, int(rng.integers(1, 4)))
         b = random_unitary(rng, int(rng.integers(1, 4)))
-        assert linalg.is_unitary(linalg.tensor_product(a, b), 1e-9)
+        assert linalg.is_unitary(np.kron(a, b), 1e-9)
+        assert linalg.is_unitary(linalg.TensorPowerOp(a, 2).dense(), 1e-9)
         assert linalg.is_unitary(linalg.direct_sum([a, b]), 1e-9)
 
 
