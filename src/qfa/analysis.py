@@ -190,25 +190,55 @@ def _shortest_pair_word(t1: dict, t2: dict, alphabet, start: tuple, goal):
     return None
 
 
+def _merge_table(c: ClassicalAutomaton) -> list:
+    """``merge[q1][q2]`` is True when some word y has q1·y = q2 and q2·y = q2.
+
+    One reverse BFS over the pair graph from each diagonal pair (q2, q2)
+    marks every pair that can reach it, so the whole table costs O(n^3·|Σ|).
+    """
+    n = c.n_states
+    preds = [[[] for _ in range(n)] for _ in c.alphabet]
+    for k, a in enumerate(c.alphabet):
+        for s in range(n):
+            preds[k][c.transitions[(s, a)]].append(s)
+    merge = [[False] * n for _ in range(n)]
+    for q2 in range(n):
+        seen = bytearray(n * n)
+        seen[q2 * n + q2] = 1
+        frontier = [(q2, q2)]
+        while frontier:
+            p, r = frontier.pop()
+            for inverse in preds:
+                for r0 in inverse[r]:
+                    for p0 in inverse[p]:
+                        if not seen[p0 * n + r0]:
+                            seen[p0 * n + r0] = 1
+                            frontier.append((p0, r0))
+        for q1 in range(n):
+            merge[q1][q2] = bool(seen[q1 * n + q2])
+    return merge
+
+
 def find_forbidden_construction(c: ClassicalAutomaton):
     """Search a minimal DFA for the pattern barring high-probability QFAs.
 
     Looks for distinct states q1, q2 and a word x with x: q1 -> q2 and
     x: q2 -> q2, where q2 is neither all-accepting nor all-rejecting.  The
-    word is recovered by BFS over the pair graph, so it is a shortest one.
-    Returns a ConstructionWitness or None.
+    merge table picks the first such pair; the word is then recovered by BFS
+    over the pair graph, so it is a shortest one.  Returns a
+    ConstructionWitness or None.
     """
     _require_plain(c, "find_forbidden_construction")
     n = c.n_states
     eligible = [_eligible(c, s) for s in range(n)]
+    merge = _merge_table(c)
     for q1 in range(n):
         for q2 in range(n):
-            if q1 == q2 or not eligible[q2]:
-                continue
-            x = _shortest_pair_word(
-                c.transitions, c.transitions, c.alphabet, (q1, q2), lambda pair: pair == (q2, q2)
-            )
-            if x is not None:
+            if q1 != q2 and eligible[q2] and merge[q1][q2]:
+                x = _shortest_pair_word(
+                    c.transitions, c.transitions, c.alphabet, (q1, q2),
+                    lambda pair: pair == (q2, q2),
+                )
                 return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=x)
     return None
 
@@ -245,40 +275,50 @@ def find_prfa_forbidden_construction(c: ClassicalAutomaton, cap: int = DEFAULT_M
     x, y with x: q1 -> q1, y: q1 -> q2, y: q2 -> q2, and no positive power of
     x returning q2 to q2.  Quantifying over words is done by enumerating the
     transition monoid, which is why the cap is exposed.
+
+    The conditions on y do not involve x: a y exists exactly when the merge
+    table holds for (q1, q2).  So one pass over the monoid, shortest word
+    first, finds the first x with such a pair, and a second pass finds the
+    first y for that x, so the scan after the enumeration is O(|M|·n^2).
     """
     _require_plain(c, "find_prfa_forbidden_construction")
     n = c.n_states
     eligible = [_eligible(c, s) for s in range(n)]
     elements = transition_monoid(c, cap)
+    merge = _merge_table(c)
+    targets = [
+        [q2 for q2 in range(n) if q2 != q1 and eligible[q2] and merge[q1][q2]] if eligible[q1] else []
+        for q1 in range(n)
+    ]
+    sources = [q1 for q1 in range(n) if targets[q1]]
+    if not sources:  # no y merges two eligible states, e.g. every letter a permutation
+        return None
     elements.sort(key=lambda e: (len(e.word), e.word))
-
-    def power_returns(f, q2: int) -> bool:
-        cur = f[q2]
-        seen = set()
-        while cur not in seen:
-            if cur == q2:
-                return True
-            seen.add(cur)
-            cur = f[cur]
-        return False
-
     for fx in elements:
-        fixed = [q for q in range(n) if fx.mapping[q] == q and eligible[q]]
-        if not fixed:
-            continue
-        for fy in elements:
-            for q1 in fixed:
-                q2 = fy.mapping[q1]
-                if q2 == q1 or not eligible[q2]:
-                    continue
-                if fy.mapping[q2] != q2:
-                    continue
-                if power_returns(fx.mapping, q2):
-                    continue
-                return ConstructionWitness(
-                    q1=c.states[q1], q2=c.states[q2], x=fx.word, y=fy.word
-                )
-    return None
+        f = fx.mapping
+        fixed = [q1 for q1 in sources if f[q1] == q1]
+        valid = {(q1, q2) for q1 in fixed for q2 in targets[q1] if not _on_cycle(f, q2)}
+        if valid:
+            break
+    else:
+        return None
+    for fy in elements:
+        g = fy.mapping
+        for q1 in fixed:
+            q2 = g[q1]
+            if (q1, q2) in valid and g[q2] == q2:
+                return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=fx.word, y=fy.word)
+    raise AssertionError("the merge table promised a word that the monoid lacks")
+
+
+def _on_cycle(f, q: int) -> bool:
+    """True when some positive power of the state mapping f returns q to q."""
+    cur = f[q]
+    for _ in range(len(f)):
+        if cur == q:
+            return True
+        cur = f[cur]
+    return False
 
 
 def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
@@ -295,14 +335,7 @@ def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
         return False
     if _step_word(c, q1, w.y) != q2 or _step_word(c, q2, w.y) != q2:
         return False
-    cur = _step_word(c, q2, w.x)
-    seen = set()
-    while cur not in seen:
-        if cur == q2:
-            return False
-        seen.add(cur)
-        cur = _step_word(c, cur, w.x)
-    return True
+    return not _on_cycle([_step_word(c, s, w.x) for s in range(c.n_states)], q2)
 
 
 # ---------------------------------------------------------------------------

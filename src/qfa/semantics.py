@@ -185,6 +185,9 @@ def run_prfa(p: ProbabilisticAutomaton, word) -> RunOutcome:
 
 def sample_prfa(p: ProbabilisticAutomaton, word, n_samples: int, seed: int = 0):
     """Monte-Carlo frequencies of a PRFA run (sanity companion to run_prfa)."""
+    stream = _working_stream(p, word)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
 
     def pick(edges, u):
@@ -196,7 +199,6 @@ def sample_prfa(p: ProbabilisticAutomaton, word, n_samples: int, seed: int = 0):
         return edges[-1][0]
 
     counts = {"acc": 0, "rej": 0, "non": 0}
-    stream = (LEFT_END,) + tuple(word) + (RIGHT_END,)
     init = tuple(p.initial_distribution)
     for _ in range(n_samples):
         state = pick(init, rng.random())

@@ -15,7 +15,7 @@ from qfa.analysis import (
     transition_monoid,
     witness_holds,
 )
-from qfa.automata import ClassicalAutomaton, is_reversible
+from qfa.automata import HALT_ON_ENTER, LEFT_END, RIGHT_END, ClassicalAutomaton, is_reversible, validate_classical
 from qfa.constructions import (
     astar_bstar_dfa,
     astar_dfa,
@@ -86,22 +86,187 @@ def parity_ab_dfa():
     )
 
 
-def random_minimal_dfa(seed):
+def random_dfa(seed, alphabet, min_states, max_states):
     rng = random.Random(seed)
-    n = rng.randint(2, 5)
-    transitions = {}
-    for s in range(n):
-        for a in ("a", "b"):
-            transitions[(s, a)] = rng.randrange(n)
-    accepting = frozenset(s for s in range(n) if rng.random() < 0.5)
-    dfa = ClassicalAutomaton(
+    n = rng.randint(min_states, max_states)
+    transitions = {(s, a): rng.randrange(n) for s in range(n) for a in alphabet}
+    return ClassicalAutomaton(
         states=tuple(f"s{i}" for i in range(n)),
-        alphabet=("a", "b"),
+        alphabet=tuple(alphabet),
         start=0,
-        accepting=accepting,
+        accepting=frozenset(s for s in range(n) if rng.random() < 0.5),
         transitions=transitions,
     )
-    return minimize_dfa(dfa)
+
+
+def random_minimal_dfa(seed):
+    return minimize_dfa(random_dfa(seed, "ab", 2, 5))
+
+
+def per_pair_forbidden(c):
+    """Oracle: one forward pair-graph search per (q1, q2), in q1-major order.
+
+    This is how ``find_forbidden_construction`` searched before the merge
+    table, O(n^4·|Σ|).
+    """
+    n = c.n_states
+    eligible = [analysis._eligible(c, s) for s in range(n)]
+    for q1 in range(n):
+        for q2 in range(n):
+            if q1 == q2 or not eligible[q2]:
+                continue
+            x = analysis._shortest_pair_word(
+                c.transitions, c.transitions, c.alphabet, (q1, q2), lambda pair: pair == (q2, q2)
+            )
+            if x is not None:
+                return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=x)
+    return None
+
+
+def quadratic_prfa_forbidden(c, cap=analysis.DEFAULT_MONOID_CAP):
+    """Oracle: every (x, y) pair of monoid elements in (len, word) order, O(|M|^2·n).
+
+    This is how ``find_prfa_forbidden_construction`` searched before the
+    merge table.
+    """
+    n = c.n_states
+    eligible = [analysis._eligible(c, s) for s in range(n)]
+    elements = transition_monoid(c, cap)
+    elements.sort(key=lambda e: (len(e.word), e.word))
+
+    def power_returns(f, q2):
+        cur = f[q2]
+        seen = set()
+        while cur not in seen:
+            if cur == q2:
+                return True
+            seen.add(cur)
+            cur = f[cur]
+        return False
+
+    for fx in elements:
+        fixed = [q for q in range(n) if fx.mapping[q] == q and eligible[q]]
+        if not fixed:
+            continue
+        for fy in elements:
+            for q1 in fixed:
+                q2 = fy.mapping[q1]
+                if q2 == q1 or not eligible[q2]:
+                    continue
+                if fy.mapping[q2] != q2:
+                    continue
+                if power_returns(fx.mapping, q2):
+                    continue
+                return ConstructionWitness(
+                    q1=c.states[q1], q2=c.states[q2], x=fx.word, y=fy.word
+                )
+    return None
+
+
+def brute_force_merges(c):
+    """Oracle: the pairs (q1, q2) that some word of length <= n^2 sends to (q2, q2).
+
+    The words of each length are kept as the set of state mappings they
+    induce, which is all the condition depends on.  A shortest merging word
+    visits each of the n^2 pairs at most once, so n^2 letters suffice.
+    """
+    n = c.n_states
+    layer = {tuple(range(n))}
+    mappings = set(layer)
+    for _ in range(n * n):
+        layer = {
+            tuple(c.transitions[(f[s], a)] for s in range(n)) for f in layer for a in c.alphabet
+        }
+        mappings |= layer
+    return {(q1, f[q1]) for f in mappings for q1 in range(n) if f[f[q1]] == f[q1]}
+
+
+def letters_dfa(n, alphabet, letters, accepting):
+    """DFA on s0..s{n-1} whose letter alphabet[i] maps s to letters[i][s]."""
+    return ClassicalAutomaton(
+        states=tuple(f"s{i}" for i in range(n)),
+        alphabet=tuple(alphabet),
+        start=0,
+        accepting=frozenset(accepting),
+        transitions={(s, a): f[s] for a, f in zip(alphabet, letters) for s in range(n)},
+    )
+
+
+def closure_size(n, letters):
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    while todo:
+        f = todo.pop()
+        for g in letters:
+            h = tuple(g[f[s]] for s in range(n))
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return len(seen)
+
+
+def symmetric_dfa(rng, n):
+    """Two random permutations generating all of S_n, and a proper accepting set."""
+    order = 1
+    for i in range(2, n + 1):
+        order *= i
+    while True:
+        letters = [tuple(rng.sample(range(n), n)) for _ in range(2)]
+        if closure_size(n, letters) == order:
+            break
+    return letters_dfa(n, "ab", letters, rng.sample(range(n), rng.randint(1, n - 1)))
+
+
+def full_transformation_dfa(rng, n):
+    """S_n on a and b plus one merging letter c: all n^n maps."""
+    perm = symmetric_dfa(rng, n)
+    letters = [tuple(perm.transitions[(s, a)] for s in range(n)) for a in "ab"]
+    i, j = rng.sample(range(n), 2)
+    merge = list(range(n))
+    merge[i] = j
+    letters.append(tuple(merge))
+    return letters_dfa(n, "abc", letters, perm.accepting)
+
+
+def differential_corpus():
+    """Minimal DFAs on which both detectors must match their old searches."""
+    corpus = [
+        minimize_dfa(random_dfa(seed, alphabet, 1, 6))
+        for alphabet in ("ab", "abc", "ba")
+        for seed in range(110)
+    ]
+    corpus += [minimize_dfa(block_dfa(m)) for m in range(1, 11)]
+    rng = random.Random(5)
+    corpus += [symmetric_dfa(rng, n) for n in (5, 6) for _ in range(2)]
+    corpus += [full_transformation_dfa(rng, n) for n in (4, 5, 6)]
+    return corpus
+
+
+def random_halt_on_enter(seed):
+    """Seeded halt-on-enter automaton over {a, b}: any state may halt or start."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    role = [rng.choice(("live", "live", "acc", "rej")) for _ in range(n)]
+    return ClassicalAutomaton(
+        states=tuple(f"s{i}" for i in range(n)),
+        alphabet=("a", "b"),
+        start=rng.randrange(n),
+        accepting=frozenset(s for s in range(n) if role[s] == "acc"),
+        rejecting=frozenset(s for s in range(n) if role[s] == "rej"),
+        transitions={
+            (s, a): rng.randrange(n)
+            for s in range(n)
+            if role[s] == "live"
+            for a in ("a", "b", LEFT_END, RIGHT_END)
+        },
+        halting_mode=HALT_ON_ENTER,
+    )
+
+
+def words_up_to(alphabet, max_len):
+    return itertools.chain.from_iterable(
+        itertools.product(alphabet, repeat=k) for k in range(max_len + 1)
+    )
 
 
 class TestMinimizeDfa:
@@ -173,6 +338,38 @@ class TestForbiddenConstruction:
             assert (got is None) == (expected is None), dfa.states
             if got is not None:
                 assert witness_holds(dfa, got)
+
+
+class TestDetectorsAgainstOldSearches:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return differential_corpus()
+
+    def test_corpus_size(self, corpus):
+        assert len(corpus) >= 340
+        witnesses = sum(find_prfa_forbidden_construction(c) is not None for c in corpus)
+        assert 100 <= witnesses <= len(corpus) - 100
+
+    def test_single_word_matches_per_pair_search(self, corpus):
+        for dfa in corpus:
+            got = find_forbidden_construction(dfa)
+            assert got == per_pair_forbidden(dfa), dfa
+            assert got is None or witness_holds(dfa, got)
+
+    def test_two_word_matches_quadratic_search(self, corpus):
+        for dfa in corpus:
+            got = find_prfa_forbidden_construction(dfa)
+            assert got == quadratic_prfa_forbidden(dfa), dfa
+            assert got is None or witness_holds(dfa, got)
+
+    def test_merge_table_matches_word_search(self):
+        for alphabet in ("ab", "abc"):
+            for seed in range(60):
+                dfa = random_dfa(seed, alphabet, 1, 4)
+                merge = analysis._merge_table(dfa)
+                n = dfa.n_states
+                got = {(q1, q2) for q1 in range(n) for q2 in range(n) if merge[q1][q2]}
+                assert got == brute_force_merges(dfa), (alphabet, seed)
 
 
 class TestPrfaForbiddenConstruction:
@@ -251,6 +448,25 @@ class TestReversibilize:
             itertools.product("xyz", repeat=k) for k in range(5)
         ):
             assert semantics.run_dfa(r, word) == semantics.run_dfa(block_dfa(1), word)
+
+
+class TestPlainUnfolding:
+    """``to_plain_dfa`` must accept exactly what ``run_dfa`` accepts in halt-on-enter mode."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_reversibilized_block_family(self, m):
+        rfa = reversibilize(block_dfa(m))
+        plain = to_plain_dfa(rfa)
+        for word in words_up_to("xyz", 7):
+            assert semantics.run_dfa(rfa, word) == semantics.run_dfa(plain, word), word
+
+    def test_random_halt_on_enter(self):
+        for seed in range(80):
+            rfa = random_halt_on_enter(seed)
+            assert validate_classical(rfa) == []
+            plain = to_plain_dfa(rfa)
+            for word in words_up_to("ab", 7):
+                assert semantics.run_dfa(rfa, word) == semantics.run_dfa(plain, word), (seed, word)
 
 
 class TestDfaEquivalent:

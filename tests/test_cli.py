@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qfa
 from qfa import linalg, serialize
+from qfa.automata import ClassicalAutomaton
 from qfa.cli import main
 from qfa.constructions import astar_bstar_dfa, astar_dfa, example_qfa, modp_qfa
 from qfa.semantics import run_measure_many
@@ -78,6 +83,25 @@ class TestAnalyze:
         path = tmp_path / "ab.json"
         serialize.save(astar_bstar_dfa(), str(path))
         assert main(["analyze", str(path), "--monoid-cap", "2"]) == 3
+
+    def test_monoid_cap_holds_without_witness(self, tmp_path, capsys):
+        # S_6 on a transposition and a 6-cycle: 720 elements and no witness
+        n = 6
+        swap = (1, 0) + tuple(range(2, n))
+        cycle = tuple((s + 1) % n for s in range(n))
+        s6 = ClassicalAutomaton(
+            states=tuple(f"s{i}" for i in range(n)),
+            alphabet=("a", "b"),
+            start=0,
+            accepting=frozenset({0, 3}),
+            transitions={(s, a): f[s] for a, f in zip("ab", (swap, cycle)) for s in range(n)},
+        )
+        path = tmp_path / "s6.json"
+        serialize.save(s6, str(path))
+        assert main(["analyze", str(path), "--monoid-cap", "100"]) == 3
+        assert "exceeds cap of 100" in capsys.readouterr().err
+        assert main(["analyze", str(path), "--monoid-cap", "720"]) == 0
+        assert "prfa forbidden construction: absent" in capsys.readouterr().out
 
 
 class TestBuild:
@@ -281,3 +305,24 @@ class TestMalformedFiles:
         doc["states"][1] = doc["states"][0]
         assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
         assert "duplicate state names" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self, tmp_path, capsys):
+        path = tmp_path / "ab.json"
+        serialize.save(astar_bstar_dfa(), str(path))
+        assert main(["analyze", str(path)]) == 0
+        expected = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qfa.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "qfa", "analyze", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
+        done = subprocess.run(
+            [sys.executable, "-m", "qfa", "--help"], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: qfa ")

@@ -203,6 +203,15 @@ class TestRunPrfa:
         with pytest.raises(ValueError):
             run_prfa(trio, "ab")
 
+    def test_sample_unknown_symbol(self):
+        with pytest.raises(ValueError, match="not in the input alphabet"):
+            sample_prfa(random_prfa(0), "zz", 200)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_sample_needs_a_sample(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            sample_prfa(random_prfa(0), "ab", n_samples)
+
 
 class TestRunDfa:
     def test_astar_bstar_words(self):
