@@ -253,13 +253,14 @@ def transition_monoid(c: ClassicalAutomaton, cap: int = DEFAULT_MONOID_CAP):
     _require_plain(c, "transition_monoid")
     n = c.n_states
     identity = tuple(range(n))
+    images = [[c.transitions[(s, a)] for s in range(n)] for a in c.alphabet]
     elements = {identity: ()}
     queue = deque([identity])
     while queue:
         mapping = queue.popleft()
         word = elements[mapping]
-        for a in c.alphabet:
-            nxt = tuple(c.transitions[(mapping[s], a)] for s in range(n))
+        for a, image in zip(c.alphabet, images):
+            nxt = tuple([image[x] for x in mapping])
             if nxt not in elements:
                 if len(elements) >= cap:
                     raise CapacityError(f"transition monoid exceeds cap of {cap} elements")

@@ -57,6 +57,73 @@ class QuantumAutomaton:
     def working_symbols(self):
         return tuple(self.alphabet) + (LEFT_END, RIGHT_END)
 
+    @cached_property
+    def plan(self) -> "RunPlan":
+        """The automaton compiled for the runners on first use; cached, so
+        ``unitaries`` must not be mutated after the first run."""
+        return RunPlan(self)
+
+
+class RunPlan:
+    """A quantum automaton compiled for the measure-many runners.
+
+    ``acc``, ``rej`` and ``non`` are the sorted state index arrays.  ``begin()``
+    gives the observed initial vector as (p_acc, p_rej, residue), and
+    ``observe(psi, ops[sym])`` one symbol's step as (accept mass, reject mass,
+    new residue); a residue is never written to once returned.  With every
+    unitary dense, ``ops[sym]`` holds the non-halting rows with their columns
+    ordered [non | acc | rej], so a step is one small product and two slices
+    and residues live in the non-halting subspace.  Otherwise residues are
+    full vectors with halting amplitudes zeroed, stepped by ``linalg.apply``.
+    """
+
+    def __init__(self, q: QuantumAutomaton):
+        if q.accepting & q.rejecting:
+            raise ValueError(f"overlapping partition: {sorted(q.accepting & q.rejecting)}")
+        n = q.initial.shape[0]
+        self.acc = np.array(sorted(q.accepting), dtype=np.intp)
+        self.rej = np.array(sorted(q.rejecting), dtype=np.intp)
+        halting = np.zeros(n, dtype=bool)
+        halting[self.acc] = halting[self.rej] = True
+        self.non = np.flatnonzero(~halting)
+        if all(isinstance(m, np.ndarray) for m in q.unitaries.values()):
+            for m in q.unitaries.values():
+                if m.shape != (n, n):
+                    raise ValueError(f"dimension mismatch: matrix {m.shape} vs vector {q.initial.shape}")
+            order = np.concatenate([self.non, self.acc, self.rej])
+            self.ops = {sym: m[np.ix_(self.non, order)] for sym, m in q.unitaries.items()}
+            k, h = len(self.non), len(self.non) + len(self.acc)
+            non, acc, rej = slice(k), slice(k, h), slice(h, None)
+            dot, vdot = np.dot, np.vdot
+
+            def observe(psi, rows):
+                out = dot(psi, rows)
+                a, r = out[acc], out[rej]
+                return float(vdot(a, a).real), float(vdot(r, r).real), out[non]
+
+            v = q.initial[order]
+            start = (linalg.norm_squared(v[acc]), linalg.norm_squared(v[rej]), v[non])
+
+            def begin():
+                return start
+        else:
+            self.ops = q.unitaries
+            # not q itself: a plan referring back to its automaton would form a cycle
+            acc, rej, initial = self.acc, self.rej, q.initial
+
+            def observe(psi, op):
+                out = linalg.apply(op, psi)
+                d_acc = float(np.sum(np.abs(out[acc]) ** 2))
+                d_rej = float(np.sum(np.abs(out[rej]) ** 2))
+                out[acc] = out[rej] = 0.0
+                return d_acc, d_rej, out
+
+            def begin():  # a vector of the automaton's size is not kept alive between runs
+                return observe(initial, linalg.IdentityOp(n))
+
+        self.observe = observe
+        self.begin = begin
+
 
 @dataclass(frozen=True)
 class ClassicalAutomaton:

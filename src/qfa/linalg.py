@@ -66,7 +66,7 @@ def as_matrix(values) -> np.ndarray:
 
 
 def norm_squared(v: np.ndarray) -> float:
-    return float(np.real(np.vdot(v, v)))
+    return float(np.vdot(v, v).real)
 
 
 def apply(m, v: np.ndarray) -> np.ndarray:

@@ -44,36 +44,17 @@ def _working_stream(q, word):
     return (LEFT_END,) + tuple(word) + (RIGHT_END,)
 
 
-def _halting_indices(q: QuantumAutomaton):
-    return (
-        np.array(sorted(q.accepting), dtype=np.intp),
-        np.array(sorted(q.rejecting), dtype=np.intp),
-    )
-
-
-def _observe(psi, acc_idx, rej_idx):
-    """Measure once: accept and reject probabilities and the un-renormalized residue.
-
-    ``psi`` must be a vector no one else holds; its halting amplitudes are
-    zeroed in place.
-    """
-    d_acc = float(np.sum(np.abs(psi[acc_idx]) ** 2))
-    d_rej = float(np.sum(np.abs(psi[rej_idx]) ** 2))
-    psi[acc_idx] = 0.0
-    psi[rej_idx] = 0.0
-    return d_acc, d_rej, psi
-
-
-def _measure_many(q: QuantumAutomaton, stream, halting):
+def _measure_many(q: QuantumAutomaton, stream):
     """Yield the cumulative (p_acc, p_rej) and the residue after each symbol.
 
     The initial vector is observed once before the first symbol, so mass it
-    puts on halting states counts at once, as in ``run_prfa``.
+    puts on halting states counts at once, as in ``run_prfa``.  Each step
+    goes through the automaton's plan (``QuantumAutomaton.plan``).
     """
-    acc_idx, rej_idx = halting
-    p_acc, p_rej, psi = _observe(q.initial.copy(), acc_idx, rej_idx)
+    observe, ops = q.plan.observe, q.plan.ops
+    p_acc, p_rej, psi = q.plan.begin()
     for sym in stream:
-        d_acc, d_rej, psi = _observe(linalg.apply(q.unitaries[sym], psi), acc_idx, rej_idx)
+        d_acc, d_rej, psi = observe(psi, ops[sym])
         p_acc += d_acc
         p_rej += d_rej
         yield p_acc, p_rej, psi
@@ -87,7 +68,7 @@ def run_measure_many(q: QuantumAutomaton, word) -> RunOutcome:
     squared norm of the residue after the right endmarker.
     """
     trace = []
-    for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word), _halting_indices(q)):
+    for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word)):
         trace.append((p_acc, p_rej))
     return RunOutcome(p_acc=p_acc, p_rej=p_rej, p_non=linalg.norm_squared(psi), trace=tuple(trace))
 
@@ -99,13 +80,12 @@ def run_prefixes(q: QuantumAutomaton, word) -> list:
     residue after ^ word[:j] is shared by all longer prefixes, and the right
     endmarker is applied to it once per prefix.
     """
-    halting = _halting_indices(q)
-    end = q.unitaries[RIGHT_END]
+    observe, end = q.plan.observe, q.plan.ops[RIGHT_END]
     trace = []
     outcomes = []
-    for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word)[:-1], halting):
+    for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word)[:-1]):
         trace.append((p_acc, p_rej))
-        e_acc, e_rej, rest = _observe(linalg.apply(end, psi), *halting)
+        e_acc, e_rej, rest = observe(psi, end)
         p_non = linalg.norm_squared(rest)
         del rest  # one state vector fewer alive during the next step
         final = (p_acc + e_acc, p_rej + e_rej)
@@ -117,10 +97,13 @@ def run_prefixes(q: QuantumAutomaton, word) -> list:
 
 def run_measure_once(q: QuantumAutomaton, word) -> linalg.OutcomeDistribution:
     """Apply all unitaries without intermediate observation, then measure once."""
+    plan = q.plan
     psi = q.initial
     for sym in _working_stream(q, word):
         psi = linalg.apply(q.unitaries[sym], psi)
-    return linalg.measure(psi, q.accepting, q.rejecting).distribution
+    return linalg.OutcomeDistribution(
+        *(linalg.norm_squared(psi[idx]) for idx in (plan.acc, plan.rej, plan.non))
+    )
 
 
 def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
@@ -134,8 +117,7 @@ def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
         raise ValueError("max_scans must be at least 1")
     stream = _working_stream(q, word)
     reports = []
-    steps = _measure_many(q, stream * max_scans, _halting_indices(q))
-    for i, (p_acc, p_rej, psi) in enumerate(steps, start=1):
+    for i, (p_acc, p_rej, psi) in enumerate(_measure_many(q, stream * max_scans), start=1):
         if i % len(stream) == 0:
             reports.append(linalg.OutcomeDistribution(p_acc, p_rej, linalg.norm_squared(psi)))
     return ScanReport(per_scan=tuple(reports), scans_executed=max_scans)

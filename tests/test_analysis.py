@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -161,6 +162,28 @@ def quadratic_prfa_forbidden(c, cap=analysis.DEFAULT_MONOID_CAP):
                     q1=c.states[q1], q2=c.states[q2], x=fx.word, y=fy.word
                 )
     return None
+
+
+def dict_lookup_monoid(c, cap=analysis.DEFAULT_MONOID_CAP):
+    """Oracle: ``transition_monoid`` before the per-letter image lists.
+
+    Each image is built by one transition-dict lookup per state.
+    """
+    n = c.n_states
+    identity = tuple(range(n))
+    elements = {identity: ()}
+    queue = deque([identity])
+    while queue:
+        mapping = queue.popleft()
+        word = elements[mapping]
+        for a in c.alphabet:
+            nxt = tuple(c.transitions[(mapping[s], a)] for s in range(n))
+            if nxt not in elements:
+                if len(elements) >= cap:
+                    raise CapacityError(f"transition monoid exceeds cap of {cap} elements")
+                elements[nxt] = word + (a,)
+                queue.append(nxt)
+    return [analysis.MonoidElement(mapping=m, word=w) for m, w in elements.items()]
 
 
 def brute_force_merges(c):
@@ -361,6 +384,20 @@ class TestDetectorsAgainstOldSearches:
             got = find_prfa_forbidden_construction(dfa)
             assert got == quadratic_prfa_forbidden(dfa), dfa
             assert got is None or witness_holds(dfa, got)
+
+    def test_monoid_matches_dict_lookup_enumeration(self, corpus):
+        for dfa in corpus:
+            want = dict_lookup_monoid(dfa)
+            assert transition_monoid(dfa) == want, dfa
+            if len(want) > 1000:
+                continue
+            # the cap trips at exactly the same element count
+            for cap in {1, len(want) // 2, len(want) - 1} - {0, len(want)}:
+                with pytest.raises(CapacityError):
+                    dict_lookup_monoid(dfa, cap)
+                with pytest.raises(CapacityError):
+                    transition_monoid(dfa, cap)
+            assert transition_monoid(dfa, len(want)) == want
 
     def test_merge_table_matches_word_search(self):
         for alphabet in ("ab", "abc"):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfa import semantics
+from qfa import automata, linalg, semantics
 from qfa.automata import QuantumAutomaton
 from qfa.automata import prfa_to_qfa
 from qfa.constructions import (
@@ -14,6 +15,7 @@ from qfa.constructions import (
     block_dfa,
     equality_qfa,
     example_qfa,
+    modp_qfa,
     modp_qfa_amplified,
     parity_prfa_trio,
     random_prfa,
@@ -31,7 +33,7 @@ from qfa.semantics import (
 )
 
 
-from tests_support import random_qfa
+from tests_support import partial_row_prfa, random_qfa
 
 
 class TestRunMeasureMany:
@@ -249,3 +251,218 @@ def test_prfa_against_qfa_on_all_short_words():
             o1 = run_prfa(p, word)
             o2 = run_measure_many(q, word)
             assert o1.p_acc == pytest.approx(o2.p_acc, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The runner core before the compiled plan, kept as the oracle for the plan:
+# full state vectors through ``linalg.apply``, halting amplitudes gathered,
+# measured and zeroed in place after every step.
+# ---------------------------------------------------------------------------
+
+
+def reference_measure_many(q, stream):
+    """(p_acc, p_rej, p_non) after each symbol of ``stream``, from the old core."""
+    acc_idx = np.array(sorted(q.accepting), dtype=np.intp)
+    rej_idx = np.array(sorted(q.rejecting), dtype=np.intp)
+
+    def observe(psi):
+        d_acc = float(np.sum(np.abs(psi[acc_idx]) ** 2))
+        d_rej = float(np.sum(np.abs(psi[rej_idx]) ** 2))
+        psi[acc_idx] = 0.0
+        psi[rej_idx] = 0.0
+        return d_acc, d_rej, psi
+
+    p_acc, p_rej, psi = observe(q.initial.copy())
+    steps = []
+    for sym in stream:
+        d_acc, d_rej, psi = observe(linalg.apply(q.unitaries[sym], psi))
+        p_acc += d_acc
+        p_rej += d_rej
+        steps.append((p_acc, p_rej, linalg.norm_squared(psi)))
+    return steps
+
+
+def reference_measure_once(q, word):
+    psi = q.initial
+    for sym in ("^",) + tuple(word) + ("$",):
+        psi = linalg.apply(q.unitaries[sym], psi)
+    return linalg.measure(psi, q.accepting, q.rejecting).distribution.as_tuple()
+
+
+def random_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    qm, r = np.linalg.qr(z)
+    return qm * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_dense_qfa(seed, roles=None):
+    """Dense QFA over {a, b}; ``roles`` gives each state's class (n, a or r).
+
+    The initial vector is a random complex unit vector, so it puts mass on
+    the halting states.
+    """
+    rng = np.random.default_rng(seed)
+    if roles is None:
+        roles = "".join(rng.choice(list("nar"), size=int(rng.integers(1, 9))))
+    n = len(roles)
+    initial = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return QuantumAutomaton(
+        states=tuple(f"s{i}" for i in range(n)),
+        alphabet=("a", "b"),
+        accepting=frozenset(i for i, r in enumerate(roles) if r == "a"),
+        rejecting=frozenset(i for i, r in enumerate(roles) if r == "r"),
+        initial=initial / np.linalg.norm(initial),
+        unitaries={sym: random_unitary(rng, n) for sym in ("a", "b", "^", "$")},
+    )
+
+
+# empty accepting or rejecting sets, no halting state, every state halting
+EDGE_ROLES = ("n", "a", "r", "ar", "nn", "nna", "nnr", "aarr", "nnnnnnnn", "narnarna")
+
+
+def plan_cases():
+    cases = [(f"random-{s}", lambda s=s: random_dense_qfa(s)) for s in range(24)]
+    cases += [(f"roles-{r}", lambda r=r: random_dense_qfa(7, r)) for r in EDGE_ROLES]
+    cases += [(f"prfa-{s}", lambda s=s: prfa_to_qfa(random_prfa(s))) for s in range(6)]
+    cases += [(f"partial-{s}", lambda s=s: prfa_to_qfa(partial_row_prfa(s))) for s in range(6)]
+    return cases
+
+
+def sample_words(seed):
+    rng = np.random.default_rng(seed)
+    words = ["", "a", "b", "ab", "ba", "bb"]
+    words += ["".join(rng.choice(["a", "b"], size=k)) for k in (3, 7, 12, 25, 40)]
+    return words
+
+
+def assert_close(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-12
+
+
+def all_floats(values):
+    return all(type(x) is float for x in values)
+
+
+@pytest.mark.parametrize("name, make", plan_cases(), ids=[c[0] for c in plan_cases()])
+class TestPlanAgainstOldCore:
+    def test_measure_many_and_trace(self, name, make):
+        q = make()
+        for word in sample_words(len(name)):
+            out = run_measure_many(q, word)
+            want = reference_measure_many(q, ("^",) + tuple(word) + ("$",))
+            assert_close(out.trace, [s[:2] for s in want])
+            assert_close((out.p_acc, out.p_rej, out.p_non), want[-1])
+            assert all_floats((out.p_acc, out.p_rej, out.p_non) + sum(out.trace, ()))
+
+    def test_prefixes(self, name, make):
+        q = make()
+        word = sample_words(len(name))[-1]
+        for j, out in enumerate(run_prefixes(q, word)):
+            want = reference_measure_many(q, ("^",) + tuple(word[:j]) + ("$",))
+            assert_close(out.trace, [s[:2] for s in want])
+            assert_close((out.p_acc, out.p_rej, out.p_non), want[-1])
+            assert all_floats((out.p_acc, out.p_rej, out.p_non) + sum(out.trace, ()))
+
+    def test_every_scan(self, name, make):
+        q = make()
+        for word in sample_words(len(name))[::3]:
+            stream = ("^",) + tuple(word) + ("$",)
+            want = reference_measure_many(q, stream * 3)
+            rep = run_multiscan(q, word, 3)
+            got = [d.as_tuple() for d in rep.per_scan]
+            assert_close(got, want[len(stream) - 1 :: len(stream)])
+            assert all_floats(sum(got, ()))
+
+    def test_measure_once(self, name, make):
+        q = make()
+        for word in sample_words(len(name)):
+            got = run_measure_once(q, word).as_tuple()
+            assert_close(got, reference_measure_once(q, word))
+            assert all_floats(got)
+
+
+class TestPlan:
+    def test_built_once_per_automaton(self, monkeypatch):
+        built = []
+
+        class CountingPlan(automata.RunPlan):
+            def __init__(self, q):
+                built.append(q)
+                super().__init__(q)
+
+        monkeypatch.setattr(automata, "RunPlan", CountingPlan)
+        dense, structured = random_dense_qfa(3), modp_qfa(5, seed=0)
+        for q in (dense, structured):
+            for _ in range(3):
+                run_measure_many(q, "aa")
+                run_prefixes(q, "aa")
+                run_multiscan(q, "a", 2)
+                run_measure_once(q, "a")
+        assert [id(q) for q in built] == [id(dense), id(structured)]
+
+    def test_plan_kind_follows_operator_types(self):
+        dense = random_dense_qfa(5, "nnar")
+        assert dense.plan.ops["a"].shape == (2, 4)
+        structured = modp_qfa(5, seed=0)
+        assert structured.plan.ops["a"] is structured.unitaries["a"]
+        assert structured.plan.begin()[2].shape == (structured.dim,)
+        assert dense.plan.begin()[2].shape == (2,)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 4), (4, 4), (3,)])
+    def test_wrongly_shaped_dense_unitary(self, shape):
+        q = random_dense_qfa(11, "nar")
+        q.unitaries["a"] = np.ones(shape, dtype=complex)
+        runners = (
+            lambda: run_measure_many(q, "ab"),
+            lambda: run_prefixes(q, "ab"),
+            lambda: run_multiscan(q, "ab", 2),
+            lambda: run_measure_once(q, "ab"),
+        )
+        for run in runners:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                run()
+
+    def test_overlapping_partition_rejected_by_every_runner(self):
+        q = dataclasses.replace(random_dense_qfa(11, "nar"), rejecting=frozenset({1, 2}))
+        for run in (run_measure_many, run_prefixes, run_measure_once):
+            with pytest.raises(ValueError, match="overlapping partition"):
+                run(q, "ab")
+        with pytest.raises(ValueError, match="overlapping partition"):
+            run_multiscan(q, "ab", 2)
+
+    def test_wrongly_shaped_unitary_next_to_a_structured_one(self):
+        q = random_dense_qfa(11, "nar")
+        q.unitaries["b"] = linalg.IdentityOp(3)
+        q.unitaries["a"] = np.eye(2, dtype=complex)
+        for run in (run_measure_many, run_prefixes, run_measure_once):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                run(q, "ab")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            run_multiscan(q, "ab", 2)
+
+
+def conservation_cases():
+    cases = [
+        ("equality", lambda: equality_qfa(20, 0.5, 60, seed=0), "a" * 24),
+        ("modp", lambda: modp_qfa(31, 0), "a" * 33),
+        ("modp-amplified", lambda: modp_qfa_amplified(31, 0.6, seed=0), "a" * 31),
+        ("prfa-trio", lambda: prfa_to_qfa(parity_prfa_trio()[1]), "a" * 12),
+    ]
+    cases += [
+        (f"partial-{s}", lambda s=s: prfa_to_qfa(partial_row_prfa(s)), "abbabaabba") for s in range(8)
+    ]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name, make, word", conservation_cases(), ids=[c[0] for c in conservation_cases()]
+)
+def test_probability_is_conserved_by_every_runner(name, make, word):
+    q = make()
+    outcomes = [run_measure_many(q, word).distribution().as_tuple()]
+    outcomes += [out.distribution().as_tuple() for out in run_prefixes(q, word)]
+    outcomes += [d.as_tuple() for d in run_multiscan(q, word, 2).per_scan]
+    outcomes.append(run_measure_once(q, word).as_tuple())
+    for p_acc, p_rej, p_non in outcomes:
+        assert abs(p_acc + p_rej + p_non - 1.0) < 1e-12, name

@@ -1,0 +1,164 @@
+"""Per-word time of the quantum and PRFA runners, by state dimension.
+
+    python tools/bench_runners.py [--src DIR] [--label NAME]
+
+Times ``run_measure_many``, ``run_measure_once``, ``run_multiscan`` (2 scans),
+``run_prefixes`` and ``run_prfa`` over every word over {a, b} up to length 9
+(1,023 words, the ``dense-small`` sweep) on two families:
+
+- ``prfa``: ``prfa_to_qfa(random_prfa(seed))`` for the first seeds that give
+  2, 3, 4 and 5 states, with ``run_prfa`` on the source PRFA;
+- ``dense``: random dense QFAs of dimension 8, 16, 32 and 64 (unitaries from a
+  complex QR, a quarter of the states accepting and a quarter rejecting).
+
+Each (automaton, runner) pair gets one warm-up pass over the first 50 words,
+then 7 timed passes; the median and quartiles of the per-word time are
+reported in microseconds.  OpenBLAS is pinned to one thread before numpy
+is imported.  ``--src`` points at the ``src`` directory of the checkout to
+time (default: this checkout), so two versions can be measured with the same
+script.  The result is stored under ``--label`` in ``BENCH_runners.json`` at
+the repository root; other labels already in the file are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PRFA_DIMS = (2, 3, 4, 5)
+DENSE_DIMS = (8, 16, 32, 64)
+MAX_LEN = 9
+SCANS = 2
+WARMUP_WORDS = 50
+RUNS = 7
+OUT = os.path.join(ROOT, "BENCH_runners.json")
+
+
+def words_up_to(max_len):
+    return [w for k in range(max_len + 1) for w in itertools.product("ab", repeat=k)]
+
+
+def prfa_cases(constructions, automata):
+    """The first random_prfa seed giving each state count in PRFA_DIMS."""
+    found = {}
+    seed = 0
+    while len(found) < len(PRFA_DIMS):
+        p = constructions.random_prfa(seed)
+        if p.n_states in PRFA_DIMS and p.n_states not in found:
+            found[p.n_states] = (seed, p, automata.prfa_to_qfa(p))
+        seed += 1
+    return [(f"prfa-{n}", n, f"random_prfa({s})", q, p) for n, (s, p, q) in sorted(found.items())]
+
+
+def dense_qfa(np, automata, n, seed):
+    rng = np.random.default_rng(seed)
+    unitaries = {}
+    for sym in ("a", "b", "^", "$"):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        qm, r = np.linalg.qr(z)
+        unitaries[sym] = qm * (np.diag(r) / np.abs(np.diag(r)))
+    initial = np.zeros(n, dtype=complex)
+    initial[n // 2] = 1.0
+    return automata.QuantumAutomaton(
+        states=tuple(f"s{i}" for i in range(n)),
+        alphabet=("a", "b"),
+        accepting=frozenset(range(n // 4)),
+        rejecting=frozenset(range(n // 4, n // 2)),
+        initial=initial,
+        unitaries=unitaries,
+    )
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def time_runner(fn, words, runs):
+    for w in words[:WARMUP_WORDS]:
+        fn(w)
+    per_word = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        for w in words:
+            fn(w)
+        per_word.append((time.perf_counter() - t0) / len(words) * 1e6)
+    q1, median, q3 = statistics.quantiles(per_word, n=4, method="inclusive")
+    return {"median_us": round(median, 3), "q1_us": round(q1, 3), "q3_us": round(q3, 3)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
+    ap.add_argument("--label", default="current")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    import numpy as np
+    from qfa import automata, constructions, semantics
+
+    words = words_up_to(MAX_LEN)
+    cases = prfa_cases(constructions, automata)
+    cases += [(f"dense-{n}", n, f"random dense, seed {n}", dense_qfa(np, automata, n, n), None)
+              for n in DENSE_DIMS]
+
+    rows = []
+    for name, dim, source, q, prfa in cases:
+        runners = {
+            "run_measure_many": lambda w: semantics.run_measure_many(q, w),
+            "run_measure_once": lambda w: semantics.run_measure_once(q, w),
+            "run_multiscan": lambda w: semantics.run_multiscan(q, w, SCANS),
+            "run_prefixes": lambda w: semantics.run_prefixes(q, w),
+        }
+        if prfa is not None:
+            runners["run_prfa"] = lambda w: semantics.run_prfa(prfa, w)
+        timings = {r: time_runner(fn, words, RUNS) for r, fn in runners.items()}
+        rows.append({"automaton": name, "dim": dim, "source": source, "per_word": timings})
+        print(name, {r: t["median_us"] for r, t in timings.items()}, file=sys.stderr)
+
+    result = {
+        "machine": {
+            "platform": platform.platform(),
+            "processor": cpu_model(),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+        },
+        "method": {
+            "words": f"all {len(words)} words over {{a,b}} of length <= {MAX_LEN}",
+            "warmup_words": WARMUP_WORDS,
+            "runs": RUNS,
+            "statistic": "median and quartiles over runs of the mean time per word, microseconds",
+            "multiscan_scans": SCANS,
+        },
+        "results": rows,
+    }
+    doc = {}
+    if os.path.exists(OUT):
+        with open(OUT, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc[args.label] = result
+    with open(OUT, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
