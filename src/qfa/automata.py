@@ -289,7 +289,11 @@ def validate(q: QuantumAutomaton, tol: float = linalg.DEFAULT_TOL) -> list:
         if linalg.operator_dim(m) != n:
             problems.append(f"symbol {sym!r}: matrix dimension {linalg.operator_dim(m)} != {n}")
             continue
-        defect = linalg.unitarity_defect(m)
+        try:
+            defect = linalg.unitarity_defect(m)
+        except ValueError as exc:  # a dense "matrix" that is not square
+            problems.append(f"symbol {sym!r}: {exc}")
+            continue
         if not defect <= tol:
             problems.append(f"symbol {sym!r}: unitarity deviation {defect:.3e}")
     return problems

@@ -1,14 +1,17 @@
 """Command-line surface: run, analyze, build, verify, equiv, dist.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 input
-or parse error, 3 capacity error.  All commands are deterministic given the
-same arguments and --seed.
+or parse error (an unreadable input or unwritable output file included), 3
+capacity error; ``main`` alone maps exceptions to these codes.  All commands
+are deterministic given the same arguments and --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import re
 import sys
 
 from . import analysis, constructions, semantics, serialize
@@ -16,6 +19,7 @@ from .automata import (
     ClassicalAutomaton,
     ProbabilisticAutomaton,
     QuantumAutomaton,
+    RunOutcome,
     non_halting_state_count,
     prfa_to_qfa,
     validate,
@@ -39,7 +43,7 @@ class CliError(Exception):
 def _load(path, tolerance):
     try:
         auto = serialize.load(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # FileFormatError, or a value the constructors reject
         raise CliError(f"{path}: {exc}") from exc
@@ -74,59 +78,33 @@ def _fmt(x: float) -> str:
 def cmd_run(args) -> int:
     auto = _load(args.file, args.tolerance)
     word = tuple(args.word) if args.word not in ("", "-") else ()
-    try:
-        if isinstance(auto, QuantumAutomaton):
-            out = _run_quantum(auto, word, args)
-        elif isinstance(auto, ProbabilisticAutomaton):
-            out = semantics.run_prfa(auto, word)
-        else:
-            accepted = semantics.run_dfa(auto, word)
-            out = None
-            payload = {"accepted": accepted}
-            _emit(args, payload, [f"accepted={'1' if accepted else '0'}"])
-            return EXIT_OK
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if isinstance(out, semantics.ScanReport):
-        last = out.per_scan[-1]
-        payload = {
-            "p_acc": last.p_acc,
-            "p_rej": last.p_rej,
-            "p_non": last.p_non,
-            "scans": [
-                {"p_acc": d.p_acc, "p_rej": d.p_rej, "p_non": d.p_non} for d in out.per_scan
-            ],
-        }
-        lines = [
-            f"p_acc={_fmt(last.p_acc)}",
-            f"p_rej={_fmt(last.p_rej)}",
-            f"p_non={_fmt(last.p_non)}",
-        ]
-        if args.trace:
-            for i, d in enumerate(out.per_scan, start=1):
-                lines.append(f"scan {i}: p_acc={_fmt(d.p_acc)} p_rej={_fmt(d.p_rej)}")
-        _emit(args, payload, lines)
+    if isinstance(auto, ClassicalAutomaton):
+        accepted = semantics.run_dfa(auto, word)
+        _emit(args, {"accepted": accepted}, [f"accepted={'1' if accepted else '0'}"])
         return EXIT_OK
-    if hasattr(out, "trace"):
-        payload = {"p_acc": out.p_acc, "p_rej": out.p_rej, "p_non": out.p_non}
-        lines = [f"p_acc={_fmt(out.p_acc)}", f"p_rej={_fmt(out.p_rej)}", f"p_non={_fmt(out.p_non)}"]
+    payload, rows = {}, []
+    if isinstance(auto, ProbabilisticAutomaton):
+        out = semantics.run_prfa(auto, word)
+    elif args.mode == "many":
+        out = semantics.run_measure_many(auto, word)
+    elif args.mode == "once":
+        out = semantics.run_measure_once(auto, word)
+    else:
+        scans = semantics.run_multiscan(auto, word, args.scans).per_scan
+        out = scans[-1]
+        payload["scans"] = [{"p_acc": d.p_acc, "p_rej": d.p_rej, "p_non": d.p_non} for d in scans]
+        rows = [("scan", d.p_acc, d.p_rej) for d in scans]
+    if isinstance(out, RunOutcome):
+        rows = [("step", a, r) for a, r in out.trace]
         if args.trace:
             payload["trace"] = [{"p_acc": a, "p_rej": r} for a, r in out.trace]
-            for i, (a, r) in enumerate(out.trace, start=1):
-                lines.append(f"step {i}: p_acc={_fmt(a)} p_rej={_fmt(r)}")
-        _emit(args, payload, lines)
-        return EXIT_OK
-    payload = {"p_acc": out.p_acc, "p_rej": out.p_rej, "p_non": out.p_non}
-    _emit(args, payload, [f"p_acc={_fmt(out.p_acc)}", f"p_rej={_fmt(out.p_rej)}", f"p_non={_fmt(out.p_non)}"])
+    payload.update(p_acc=out.p_acc, p_rej=out.p_rej, p_non=out.p_non)
+    lines = [f"{key}={_fmt(payload[key])}" for key in ("p_acc", "p_rej", "p_non")]
+    if args.trace:
+        for i, (kind, a, r) in enumerate(rows, start=1):
+            lines.append(f"{kind} {i}: p_acc={_fmt(a)} p_rej={_fmt(r)}")
+    _emit(args, payload, lines)
     return EXIT_OK
-
-
-def _run_quantum(auto, word, args):
-    if args.mode == "many":
-        return semantics.run_measure_many(auto, word)
-    if args.mode == "once":
-        return semantics.run_measure_once(auto, word)
-    return semantics.run_multiscan(auto, word, args.scans)
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +127,13 @@ def cmd_analyze(args) -> int:
         raise CliError("analyze expects a plain DFA file")
     minimal = analysis.minimize_dfa(auto)
     single = analysis.find_forbidden_construction(minimal)
-    try:
-        double = analysis.find_prfa_forbidden_construction(minimal, cap=args.monoid_cap)
-        double_report = _witness_payload(double)
-    except CapacityError as exc:
-        raise CliError(str(exc), code=EXIT_CAPACITY) from exc
+    double = analysis.find_prfa_forbidden_construction(minimal, cap=args.monoid_cap)
     reversible, tuples = analysis.is_reversible(minimal)
 
     payload = {
         "minimal_states": minimal.n_states,
         "forbidden_construction": _witness_payload(single),
-        "prfa_forbidden_construction": double_report,
+        "prfa_forbidden_construction": _witness_payload(double),
         "reversible": reversible,
     }
     lines = [f"minimal states: {minimal.n_states}"]
@@ -195,7 +169,7 @@ def cmd_analyze(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# build
+# build / verify targets
 # ---------------------------------------------------------------------------
 
 
@@ -205,122 +179,94 @@ def _resolve_epsilon(args):
     return 0.6 if args.target == "modp-amplified" else 0.5
 
 
-def _build_target(args):
-    target = args.target
-    if target == "example":
-        return constructions.example_qfa(), {}
-    if target == "astarbstar":
-        auto = constructions.astar_bstar_qfa()
-        p = constructions.solve_success_probability()
-        return auto, {"success_probability": p, "residual": abs(p**3 + p - 1.0)}
-    if target == "modp":
-        auto = constructions.modp_qfa(args.p, args.seed)
-        blocks = constructions.good_sequence_length(args.p)
-        return auto, {"blocks": blocks, "non_halting_states": non_halting_state_count(auto)}
-    if target == "modp-amplified":
-        epsilon = _resolve_epsilon(args)
-        auto = constructions.modp_qfa_amplified(args.p, epsilon, args.seed)
-        d = constructions.choose_amplification(args.p, epsilon / 3.0)
-        return auto, {
-            "blocks": constructions.good_sequence_length(args.p),
-            "tensor_power": d,
-            "non_halting_states": non_halting_state_count(auto),
-        }
-    if target == "equality":
-        epsilon = _resolve_epsilon(args)
-        prime, d, sequence = constructions.equality_plan(args.n, epsilon, args.n_max, args.seed)
-        auto = constructions.equality_qfa(args.n, epsilon, args.n_max, args.seed)
-        return auto, {
-            "prime": prime,
-            "blocks": sequence.length,
-            "tensor_power": d,
-            "non_halting_states": non_halting_state_count(auto),
-        }
-    if target == "blocks":
-        auto = constructions.block_dfa(args.m)
-        return auto, {"states": auto.n_states}
-    if target == "prfa-trio":
-        _, prfa = constructions.parity_prfa_trio()
-        return prfa, {"states": prfa.n_states}
-    raise CliError(f"unknown build target {target!r}")
+def _build_example(args):
+    return constructions.example_qfa(), {}
 
 
-def cmd_build(args) -> int:
-    try:
-        auto, info = _build_target(args)
-    except CapacityError as exc:
-        raise CliError(str(exc), code=EXIT_CAPACITY) from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    serialize.save(auto, args.out)
-    info["file"] = args.out
-    if isinstance(auto, QuantumAutomaton):
-        info.setdefault("states", auto.dim)
-    lines = [f"{k}: {v}" for k, v in info.items()]
-    _emit(args, info, lines)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-def _verify_example():
-    auto = constructions.example_qfa()
-    out = semantics.run_measure_many(auto, "aa")
+def _verify_example(args):
+    out = semantics.run_measure_many(constructions.example_qfa(), "aa")
     margin = min(1e-12 - abs(out.p_acc - 0.25), 1e-12 - abs(out.p_rej - 0.75))
     return [("worked example on aa", margin)]
 
 
-def _verify_astarbstar():
+def _build_astarbstar(args):
+    p = constructions.solve_success_probability()
+    return constructions.astar_bstar_qfa(), {"success_probability": p, "residual": abs(p**3 + p - 1.0)}
+
+
+def _verify_astarbstar(args):
     auto = constructions.astar_bstar_qfa()
     p = constructions.solve_success_probability()
-    checks = []
-    inside = float("inf")
-    outside = float("inf")
-    for length in range(0, 7):
-        for bits in range(2**length if length else 1):
-            word = "".join("ab"[(bits >> i) & 1] for i in range(length))
+    inside = outside = float("inf")
+    for length in range(7):
+        for word in map("".join, itertools.product("ab", repeat=length)):
             out = semantics.run_measure_many(auto, word)
-            if _in_astar_bstar(word):
+            if re.fullmatch("a*b*", word):
                 inside = min(inside, 1e-9 - abs(out.p_acc - p))
             else:
                 outside = min(outside, out.p_rej - (p - 1e-9))
-    checks.append(("a*b* words accept with probability p", inside))
-    checks.append(("words outside a*b* reject with probability >= p", outside))
-    return checks
-
-
-def _in_astar_bstar(word: str) -> bool:
-    seen_b = False
-    for ch in word:
-        if ch == "b":
-            seen_b = True
-        elif seen_b:
-            return False
-    return True
-
-
-def _verify_modp(auto, p, bound, bound_label):
-    outs = semantics.run_prefixes(auto, "a" * (2 * p))
-    margin = float("inf")
-    for j in range(1, p):
-        margin = min(margin, outs[j].p_rej - (bound - 1e-9))
-    accept = float("inf")
-    for mult in (p, 2 * p):
-        accept = min(accept, 1e-9 - abs(outs[mult].p_acc - 1.0))
     return [
-        (f"non-multiples rejected with probability >= {bound_label}", margin),
+        ("a*b* words accept with probability p", inside),
+        ("words outside a*b* reject with probability >= p", outside),
+    ]
+
+
+def _build_modp(args):
+    auto = constructions.modp_qfa(args.p, args.seed)
+    return auto, {
+        "blocks": constructions.good_sequence_length(args.p),
+        "non_halting_states": non_halting_state_count(auto),
+    }
+
+
+def _build_modp_amplified(args):
+    epsilon = _resolve_epsilon(args)
+    auto = constructions.modp_qfa_amplified(args.p, epsilon, args.seed)
+    return auto, {
+        "blocks": constructions.good_sequence_length(args.p),
+        "tensor_power": constructions.choose_amplification(args.p, epsilon / 3.0),
+        "non_halting_states": non_halting_state_count(auto),
+    }
+
+
+def _modp_margins(auto, p, bound, bound_label):
+    outs = semantics.run_prefixes(auto, "a" * (2 * p))
+    reject = min(outs[j].p_rej - (bound - 1e-9) for j in range(1, p))
+    accept = min(1e-9 - abs(outs[mult].p_acc - 1.0) for mult in (p, 2 * p))
+    return [
+        (f"non-multiples rejected with probability >= {bound_label}", reject),
         ("multiples accepted with probability 1", accept),
     ]
 
 
-def _verify_equality(n, epsilon, n_max, seed):
-    auto = constructions.equality_qfa(n, epsilon, n_max, seed)
+def _verify_modp(args):
+    return _modp_margins(constructions.modp_qfa(args.p, args.seed), args.p, 1.0 / 8.0, "1/8")
+
+
+def _verify_modp_amplified(args):
+    epsilon = _resolve_epsilon(args)
+    auto = constructions.modp_qfa_amplified(args.p, epsilon, args.seed)
+    return _modp_margins(auto, args.p, 1.0 - epsilon, 1.0 - epsilon)
+
+
+def _build_equality(args):
+    epsilon = _resolve_epsilon(args)
+    prime, d, sequence = constructions.equality_plan(args.n, epsilon, args.n_max, args.seed)
+    auto = constructions.equality_qfa(args.n, epsilon, args.n_max, args.seed)
+    return auto, {
+        "prime": prime,
+        "blocks": sequence.length,
+        "tensor_power": d,
+        "non_halting_states": non_halting_state_count(auto),
+    }
+
+
+def _verify_equality(args):
+    n, epsilon = args.n, _resolve_epsilon(args)
+    auto = constructions.equality_qfa(n, epsilon, args.n_max, args.seed)
     accept = None
     reject = float("inf")
-    for length, out in enumerate(semantics.run_prefixes(auto, "a" * n_max)):
+    for length, out in enumerate(semantics.run_prefixes(auto, "a" * args.n_max)):
         if length == n:
             accept = 1e-9 - abs(out.p_acc - 1.0)
         else:
@@ -331,7 +277,13 @@ def _verify_equality(n, epsilon, n_max, seed):
     ]
 
 
-def _verify_blocks(m):
+def _build_blocks(args):
+    auto = constructions.block_dfa(args.m)
+    return auto, {"states": auto.n_states}
+
+
+def _verify_blocks(args):
+    m = args.m
     dfa = constructions.block_dfa(m)
     minimal = analysis.minimize_dfa(dfa)
     rfa = analysis.reversibilize(minimal)
@@ -344,7 +296,12 @@ def _verify_blocks(m):
     ]
 
 
-def _verify_prfa_trio():
+def _build_prfa_trio(args):
+    _, prfa = constructions.parity_prfa_trio()
+    return prfa, {"states": prfa.n_states}
+
+
+def _verify_prfa_trio(args):
     _, prfa = constructions.parity_prfa_trio()
     qfa = prfa_to_qfa(prfa)
     margin = float("inf")
@@ -362,31 +319,33 @@ def _verify_prfa_trio():
     ]
 
 
+# target name -> (build, verify); each reads its parameters from the parsed args
+_TARGETS = {
+    "example": (_build_example, _verify_example),
+    "astarbstar": (_build_astarbstar, _verify_astarbstar),
+    "modp": (_build_modp, _verify_modp),
+    "modp-amplified": (_build_modp_amplified, _verify_modp_amplified),
+    "equality": (_build_equality, _verify_equality),
+    "blocks": (_build_blocks, _verify_blocks),
+    "prfa-trio": (_build_prfa_trio, _verify_prfa_trio),
+}
+
+
+def cmd_build(args) -> int:
+    build, _ = _TARGETS[args.target]
+    auto, info = build(args)
+    serialize.save(auto, args.out)
+    info["file"] = args.out
+    if isinstance(auto, QuantumAutomaton):
+        info.setdefault("states", auto.dim)
+    lines = [f"{k}: {v}" for k, v in info.items()]
+    _emit(args, info, lines)
+    return EXIT_OK
+
+
 def cmd_verify(args) -> int:
-    try:
-        if args.target == "example":
-            checks = _verify_example()
-        elif args.target == "astarbstar":
-            checks = _verify_astarbstar()
-        elif args.target == "modp":
-            auto = constructions.modp_qfa(args.p, args.seed)
-            checks = _verify_modp(auto, args.p, 1.0 / 8.0, "1/8")
-        elif args.target == "modp-amplified":
-            epsilon = _resolve_epsilon(args)
-            auto = constructions.modp_qfa_amplified(args.p, epsilon, args.seed)
-            checks = _verify_modp(auto, args.p, 1.0 - epsilon, 1.0 - epsilon)
-        elif args.target == "equality":
-            checks = _verify_equality(args.n, _resolve_epsilon(args), args.n_max, args.seed)
-        elif args.target == "blocks":
-            checks = _verify_blocks(args.m)
-        elif args.target == "prfa-trio":
-            checks = _verify_prfa_trio()
-        else:
-            raise CliError(f"unknown verify target {args.target!r}")
-    except CapacityError as exc:
-        raise CliError(str(exc), code=EXIT_CAPACITY) from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    _, verify = _TARGETS[args.target]
+    checks = verify(args)
     ok = all(margin >= 0 for _, margin in checks)
     payload = {
         "target": args.target,
@@ -411,10 +370,7 @@ def cmd_equiv(args) -> int:
     b = _load(args.file2, args.tolerance)
     if not isinstance(a, ClassicalAutomaton) or not isinstance(b, ClassicalAutomaton):
         raise CliError("equiv expects two deterministic automaton files")
-    try:
-        same, counter = analysis.dfa_equivalent(a, b)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    same, counter = analysis.dfa_equivalent(a, b)
     payload = {"equivalent": same}
     lines = [f"equivalent: {'yes' if same else 'no'}"]
     if not same:
@@ -428,15 +384,12 @@ def cmd_dist(args) -> int:
     auto = _load(args.file, args.tolerance)
     if not isinstance(auto, QuantumAutomaton):
         raise CliError("dist expects a qfa file")
-    try:
-        if args.mode == "once":
-            d1 = semantics.run_measure_once(auto, tuple(args.word1))
-            d2 = semantics.run_measure_once(auto, tuple(args.word2))
-        else:
-            d1 = semantics.run_measure_many(auto, tuple(args.word1)).distribution()
-            d2 = semantics.run_measure_many(auto, tuple(args.word2)).distribution()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.mode == "once":
+        d1 = semantics.run_measure_once(auto, tuple(args.word1))
+        d2 = semantics.run_measure_once(auto, tuple(args.word2))
+    else:
+        d1 = semantics.run_measure_many(auto, tuple(args.word1)).distribution()
+        d2 = semantics.run_measure_many(auto, tuple(args.word2)).distribution()
     dist = tv_distance(d1, d2)
     _emit(args, {"tv_distance": dist}, [f"tv_distance={_fmt(dist)}"])
     return EXIT_OK
@@ -452,6 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=float, default=1e-9, help="validation tolerance")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     common.add_argument("--json", action="store_true", help="machine-readable output")
+
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("target", choices=_TARGETS)
+    target.add_argument("--p", type=int, default=31, help="prime modulus")
+    target.add_argument("--epsilon", type=float, default=None,
+                        help="error bound (default 0.6 for modp-amplified, 0.5 for equality)")
+    target.add_argument("--n", type=int, default=20)
+    target.add_argument("--n-max", type=int, default=60)
+    target.add_argument("--m", type=int, default=2)
 
     parser = argparse.ArgumentParser(
         prog="qfa",
@@ -473,31 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--reversibilize", metavar="OUT", help="write the reversibilized automaton here")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_build = sub.add_parser("build", parents=[common], help="generate a built-in automaton")
-    p_build.add_argument(
-        "target",
-        choices=("example", "astarbstar", "modp", "modp-amplified", "equality", "blocks", "prfa-trio"),
-    )
+    p_build = sub.add_parser("build", parents=[common, target], help="generate a built-in automaton")
     p_build.add_argument("-o", "--out", required=True)
-    p_build.add_argument("--p", type=int, default=31, help="prime modulus")
-    p_build.add_argument("--epsilon", type=float, default=None,
-                         help="error bound (default 0.6 for modp-amplified, 0.5 for equality)")
-    p_build.add_argument("--n", type=int, default=20)
-    p_build.add_argument("--n-max", type=int, default=60)
-    p_build.add_argument("--m", type=int, default=2)
     p_build.set_defaults(func=cmd_build)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="check a construction's bounds")
-    p_verify.add_argument(
-        "target",
-        choices=("example", "astarbstar", "modp", "modp-amplified", "equality", "blocks", "prfa-trio"),
-    )
-    p_verify.add_argument("--p", type=int, default=31)
-    p_verify.add_argument("--epsilon", type=float, default=None,
-                          help="error bound (default 0.6 for modp-amplified, 0.5 for equality)")
-    p_verify.add_argument("--n", type=int, default=20)
-    p_verify.add_argument("--n-max", type=int, default=60)
-    p_verify.add_argument("--m", type=int, default=2)
+    p_verify = sub.add_parser("verify", parents=[common, target], help="check a construction's bounds")
     p_verify.set_defaults(func=cmd_verify)
 
     p_eq = sub.add_parser("equiv", parents=[common], help="language equivalence of two DFAs")
@@ -519,12 +461,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        if isinstance(exc, CliError):
+            return exc.code
+        return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -240,10 +240,11 @@ def find_good_sequence(p: int, seed: int = 0) -> GoodSequence:
 def amplified_rotation(p: int, k: int, d: int) -> QuantumAutomaton:
     """Tensor power of d rotation coins with per-string halting states.
 
-    The 2^d non-halting states are labelled by bit strings; the accept
-    amplitude on a^j is cos(2*pi*j*k/p)^d.  The right endmarker sends the
-    all-zero string to the single accepting state and every other string to
-    its own rejecting state.
+    The one-block composite for coefficient k: the left endmarker moves the
+    start state onto the all-zero string of the 2^d non-halting strings, and
+    the accept amplitude on a^j is cos(2*pi*j*k/p)^d.  The right endmarker
+    sends the all-zero string to the single accepting state and every other
+    string to its own rejecting state.
     """
     _require_prime(p)
     if not 1 <= k <= p - 1:
@@ -252,31 +253,7 @@ def amplified_rotation(p: int, k: int, d: int) -> QuantumAutomaton:
         raise ValueError("d must be at least 1")
     if d > MAX_TENSOR_COPIES:
         raise CapacityError(f"d={d} exceeds the tensor capacity of {MAX_TENSOR_COPIES}")
-    m = 1 << d
-    labels = [format(i, f"0{d}b") for i in range(m)]
-    states = tuple(f"q{lbl}" for lbl in labels) + ("q_acc",) + tuple(
-        f"q_rej{lbl}" for lbl in labels[1:]
-    )
-    rot = _rotation_2x2(2.0 * math.pi * k / p)
-    spin = TensorPowerOp(rot, d)
-    v_a = BlockDiagOp([spin, IdentityOp(m)])
-    # all-zero -> accept slot, other strings -> their own reject slots, halting swaps back
-    dest = [m] + [m + i for i in range(1, m)] + list(range(m))
-    v_end = PermutationOp(dest)
-    initial = np.zeros(2 * m, dtype=complex)
-    initial[0] = 1.0
-    return QuantumAutomaton(
-        states=states,
-        alphabet=("a",),
-        accepting=frozenset({m}),
-        rejecting=frozenset(range(m + 1, 2 * m)),
-        initial=initial,
-        unitaries={
-            "a": v_a,
-            LEFT_END: IdentityOp(2 * m),
-            RIGHT_END: v_end,
-        },
-    )
+    return _composite_blocks(p, GoodSequence(p, (k,)), d)
 
 
 def choose_amplification(p: int, delta: float) -> int:

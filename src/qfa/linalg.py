@@ -72,7 +72,7 @@ def norm_squared(v: np.ndarray) -> float:
 def apply(m, v: np.ndarray) -> np.ndarray:
     """Apply a transition matrix (or structured operator) to a state vector."""
     if isinstance(m, np.ndarray):
-        if m.shape[0] != v.shape[0]:
+        if m.shape != (v.shape[0], v.shape[0]):
             raise ValueError(f"dimension mismatch: matrix {m.shape} vs vector {v.shape}")
         return v @ m
     if m.dim != v.shape[0]:

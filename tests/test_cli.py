@@ -307,6 +307,30 @@ class TestMalformedFiles:
         assert "duplicate state names" in capsys.readouterr().err
 
 
+class TestOsErrors:
+    """An unreadable input or an unwritable output exits 2 with one error line."""
+
+    def assert_input_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        err = self.assert_input_error(["run", str(tmp_path), "a"], capsys)
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_build_into_missing_directory(self, tmp_path, capsys):
+        self.assert_input_error(["build", "example", "-o", str(tmp_path / "missing" / "x.json")], capsys)
+
+    def test_reversibilize_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        serialize.save(astar_dfa(), str(path))
+        out = str(tmp_path / "missing" / "r.json")
+        self.assert_input_error(["analyze", str(path), "--reversibilize", out], capsys)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path, capsys):
         path = tmp_path / "ab.json"

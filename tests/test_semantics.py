@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -432,14 +433,16 @@ class TestPlan:
             run_multiscan(q, "ab", 2)
 
     def test_wrongly_shaped_unitary_next_to_a_structured_one(self):
-        q = random_dense_qfa(11, "nar")
-        q.unitaries["b"] = linalg.IdentityOp(3)
-        q.unitaries["a"] = np.eye(2, dtype=complex)
-        for run in (run_measure_many, run_prefixes, run_measure_once):
+        for shape in [(2, 2), (3, 2), (3,)]:
+            q = random_dense_qfa(11, "nar")
+            q.unitaries["b"] = linalg.IdentityOp(3)
+            q.unitaries["a"] = np.ones(shape, dtype=complex)
+            for run in (run_measure_many, run_prefixes, run_measure_once):
+                with pytest.raises(ValueError, match=re.escape(f"dimension mismatch: matrix {shape} vs vector (3,)")):
+                    run(q, "ab")
             with pytest.raises(ValueError, match="dimension mismatch"):
-                run(q, "ab")
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            run_multiscan(q, "ab", 2)
+                run_multiscan(q, "ab", 2)
+            assert [p for p in automata.validate(q) if p.startswith("symbol 'a': ")]
 
 
 def conservation_cases():
