@@ -12,7 +12,7 @@ from .automata import (
     rfa_to_prfa,
     validate,
 )
-from .linalg import OutcomeDistribution, complete_unitary, is_unitary, measure, tv_distance
+from .linalg import OutcomeDistribution, complete_unitary, is_unitary, tv_distance
 from .semantics import (
     ScanReport,
     run_dfa,
@@ -47,7 +47,6 @@ __all__ = [
     "is_reversible",
     "is_unitary",
     "make_qfa",
-    "measure",
     "minimize_dfa",
     "non_halting_state_count",
     "prfa_to_qfa",

@@ -65,31 +65,30 @@ class QuantumAutomaton:
 
 
 class RunPlan:
-    """A quantum automaton compiled for the measure-many runners.
+    """A quantum automaton compiled for the runners.
 
+    ``apply[sym]`` is the symbol's operator lowered once by ``linalg.lower``.
     ``acc``, ``rej`` and ``non`` are the sorted state index arrays.  ``begin()``
     gives the observed initial vector as (p_acc, p_rej, residue), and
-    ``observe(psi, ops[sym])`` one symbol's step as (accept mass, reject mass,
-    new residue); a residue is never written to once returned.  With every
-    unitary dense, ``ops[sym]`` holds the non-halting rows with their columns
-    ordered [non | acc | rej], so a step is one small product and two slices
-    and residues live in the non-halting subspace.  Otherwise residues are
-    full vectors with halting amplitudes zeroed, stepped by ``linalg.apply``.
+    ``observe(psi, ops[sym])`` one measure-many step as (accept mass, reject
+    mass, new residue); a residue is never written to once returned.  With
+    every unitary dense, ``ops[sym]`` holds the non-halting rows with their
+    columns ordered [non | acc | rej], so a step is one small product and two
+    slices and residues live in the non-halting subspace.  Otherwise ``ops``
+    is ``apply`` and residues are full vectors with halting amplitudes zeroed.
     """
 
     def __init__(self, q: QuantumAutomaton):
         if q.accepting & q.rejecting:
             raise ValueError(f"overlapping partition: {sorted(q.accepting & q.rejecting)}")
         n = q.initial.shape[0]
+        self.apply = {sym: linalg.lower(m, n) for sym, m in q.unitaries.items()}
         self.acc = np.array(sorted(q.accepting), dtype=np.intp)
         self.rej = np.array(sorted(q.rejecting), dtype=np.intp)
         halting = np.zeros(n, dtype=bool)
         halting[self.acc] = halting[self.rej] = True
         self.non = np.flatnonzero(~halting)
         if all(isinstance(m, np.ndarray) for m in q.unitaries.values()):
-            for m in q.unitaries.values():
-                if m.shape != (n, n):
-                    raise ValueError(f"dimension mismatch: matrix {m.shape} vs vector {q.initial.shape}")
             order = np.concatenate([self.non, self.acc, self.rej])
             self.ops = {sym: m[np.ix_(self.non, order)] for sym, m in q.unitaries.items()}
             k, h = len(self.non), len(self.non) + len(self.acc)
@@ -107,19 +106,19 @@ class RunPlan:
             def begin():
                 return start
         else:
-            self.ops = q.unitaries
+            self.ops = self.apply
             # not q itself: a plan referring back to its automaton would form a cycle
             acc, rej, initial = self.acc, self.rej, q.initial
 
             def observe(psi, op):
-                out = linalg.apply(op, psi)
+                out = op(psi)
                 d_acc = float(np.sum(np.abs(out[acc]) ** 2))
                 d_rej = float(np.sum(np.abs(out[rej]) ** 2))
                 out[acc] = out[rej] = 0.0
                 return d_acc, d_rej, out
 
             def begin():  # a vector of the automaton's size is not kept alive between runs
-                return observe(initial, linalg.IdentityOp(n))
+                return observe(initial, np.copy)
 
         self.observe = observe
         self.begin = begin

@@ -1,4 +1,4 @@
-"""Complex vector/matrix arithmetic, measurement, and distribution distance.
+"""Complex vector/matrix arithmetic, operator execution and distribution distance.
 
 Matrices use the transition-table convention: row ``i`` holds the image of
 basis state ``i``, so a matrix applied to a state vector is ``v @ m``.  All
@@ -8,7 +8,8 @@ probability checks is 1e-9, closed-form comparisons use 1e-12.
 Besides dense ``numpy`` matrices, a few structured unitary operators are
 provided (identity, tensor power, permutation, block diagonal, composition,
 plane rotation).  Large composite automata are built from these so that a
-matrix never has to be materialized beyond a few thousand rows.
+matrix never has to be materialized beyond a few thousand rows.  Both kinds
+run only through ``lower``, which turns an operator into a vector function.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ class OutcomeDistribution:
         return (self.p_acc, self.p_rej, self.p_non)
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    distribution: OutcomeDistribution
-    accepted: np.ndarray
-    rejected: np.ndarray
-    non_halting: np.ndarray
-
-
 def as_state_vector(values) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
     if v.ndim != 1:
@@ -70,14 +63,27 @@ def norm_squared(v: np.ndarray) -> float:
 
 
 def apply(m, v: np.ndarray) -> np.ndarray:
-    """Apply a transition matrix (or structured operator) to a state vector."""
+    """Apply a transition matrix (or structured operator) to a state vector once."""
+    return lower(m, v.shape[0])(v)
+
+
+def lower(m, dim: int):
+    """Check that ``m`` acts on ``dim`` states and return it as a function that
+    maps a state vector to a new one, never writing to its argument."""
     if isinstance(m, np.ndarray):
-        if m.shape != (v.shape[0], v.shape[0]):
-            raise ValueError(f"dimension mismatch: matrix {m.shape} vs vector {v.shape}")
-        return v @ m
-    if m.dim != v.shape[0]:
-        raise ValueError(f"dimension mismatch: operator dim {m.dim} vs vector {v.shape}")
-    return m.apply(v)
+        if m.shape != (dim, dim):
+            raise ValueError(f"dimension mismatch: matrix {m.shape} vs vector {(dim,)}")
+        return lambda v: v @ m
+    if m.dim != dim:
+        raise ValueError(f"dimension mismatch: operator dim {m.dim} vs vector {(dim,)}")
+    stages = [_Stage(f) for f in _factors(m)]
+
+    def run(v):
+        for stage in stages:
+            v = stage(v)
+        return v
+
+    return run
 
 
 def operator_dim(m) -> int:
@@ -162,38 +168,6 @@ def complete_unitary(partial, specified_rows, tol: float = DEFAULT_TOL) -> np.nd
     return out
 
 
-def measure(v: np.ndarray, accepting, rejecting, non_halting=None) -> MeasureResult:
-    """Project a state vector onto the accept/reject/non-halt subspaces.
-
-    Class probabilities are squared norms of the projections.  The collapsed
-    vectors are returned un-renormalized; renormalization is the caller's
-    choice because sub-normalized residues are first-class here.
-    """
-    n = v.shape[0]
-    acc = frozenset(accepting)
-    rej = frozenset(rejecting)
-    if acc & rej:
-        raise ValueError(f"overlapping partition: {sorted(acc & rej)}")
-    if non_halting is None:
-        non = frozenset(range(n)) - acc - rej
-    else:
-        non = frozenset(non_halting)
-        if (acc | rej) & non:
-            raise ValueError("overlapping partition")
-        if acc | rej | non != frozenset(range(n)):
-            raise ValueError("partition does not cover all state indices")
-    parts = []
-    probs = []
-    for cls in (acc, rej, non):
-        proj = np.zeros_like(v)
-        idx = sorted(cls)
-        proj[idx] = v[idx]
-        parts.append(proj)
-        probs.append(norm_squared(proj))
-    dist = OutcomeDistribution(p_acc=probs[0], p_rej=probs[1], p_non=probs[2])
-    return MeasureResult(dist, parts[0], parts[1], parts[2])
-
-
 def tv_distance(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
     """Variational distance: sum of absolute coordinate differences, range [0, 2]."""
     return (
@@ -217,19 +191,16 @@ def direct_sum(blocks) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Structured unitary operators.  Each exposes dim, apply(v), dense() and
-# unitarity_defect(); apply() follows the same row convention as dense
-# matrices (basis state i is sent to the i-th row of the dense form) and,
-# like ``v @ m``, always returns a new array.
+# Structured unitary operators: plain data exposing dim, dense() and
+# unitarity_defect(), executed through ``lower``.  They follow the same row
+# convention as dense matrices: basis state i is sent to the i-th row of the
+# dense form.
 # ---------------------------------------------------------------------------
 
 
 class IdentityOp:
     def __init__(self, dim: int):
         self.dim = int(dim)
-
-    def apply(self, v):
-        return v.copy()
 
     def dense(self):
         return np.eye(self.dim, dtype=complex)
@@ -247,10 +218,6 @@ class TensorPowerOp:
         if self.copies < 1:
             raise ValueError("tensor power needs at least one copy")
         self.dim = self.base.shape[0] ** self.copies
-
-    def apply(self, v):
-        t = np.array(v, dtype=complex).reshape(1, self.dim)
-        return _tensor_powers(self.base.T[np.newaxis], t, self.copies).reshape(self.dim)
 
     def dense(self):
         out = self.base
@@ -305,11 +272,6 @@ class PermutationOp:
         if sorted(self.dest.tolist()) != list(range(self.dim)):
             raise ValueError("dest is not a permutation")
 
-    def apply(self, v):
-        out = np.zeros_like(v)
-        out[self.dest] = v
-        return out
-
     def dense(self):
         out = np.zeros((self.dim, self.dim), dtype=complex)
         out[np.arange(self.dim), self.dest] = 1.0
@@ -320,11 +282,7 @@ class PermutationOp:
 
 
 class BlockDiagOp:
-    """Direct sum of operators, in block order.
-
-    The first ``apply`` lowers the operator into a short list of stages,
-    cached on the op; see ``_factors`` and ``_Stage``.
-    """
+    """Direct sum of operators, in block order."""
 
     def __init__(self, blocks):
         self.blocks = list(blocks)
@@ -334,14 +292,6 @@ class BlockDiagOp:
             self.offsets.append(off)
             off += operator_dim(b)
         self.dim = off
-        self._stages = None
-
-    def apply(self, v):
-        if self._stages is None:
-            self._stages = [_Stage(f) for f in _factors(self)]
-        for stage in self._stages:
-            v = stage.apply(v)
-        return v
 
     def dense(self):
         return direct_sum([to_dense(b) for b in self.blocks])
@@ -361,11 +311,6 @@ class ComposedOp:
         for f in self.factors:
             if operator_dim(f) != self.dim:
                 raise ValueError("composed factors must share a dimension")
-
-    def apply(self, v):
-        for f in self.factors:
-            v = apply(f, v)
-        return v
 
     def dense(self):
         out = np.eye(self.dim, dtype=complex)
@@ -397,23 +342,18 @@ class PlaneRotationOp:
         if abs(self.target[self.axis]) > 1e-12:
             raise ValueError("target must be orthogonal to the rotation axis")
 
-    def apply(self, v):
+    def rotate(self, v):
+        """Overwrite ``v`` with its image: e -> u and u -> -e."""
         e_amp = v[self.axis]
         u_amp = np.vdot(self.target, v)
-        out = np.array(v, dtype=complex)
-        out[self.axis] = 0.0
-        # e -> u, u -> -e; updated in place to keep one temporary
-        out += (e_amp - u_amp) * self.target
-        out[self.axis] += -u_amp
-        return out
+        v[self.axis] = 0.0
+        v += (e_amp - u_amp) * self.target
+        v[self.axis] += -u_amp
 
     def dense(self):
-        n = self.dim
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            basis = np.zeros(n, dtype=complex)
-            basis[i] = 1.0
-            out[i] = self.apply(basis)
+        out = np.eye(self.dim, dtype=complex)
+        for row in out:
+            self.rotate(row)
         return out
 
     def unitarity_defect(self):
@@ -448,11 +388,11 @@ def _leaves(op, offset: int, out: list):
 
 
 class _Stage:
-    """One lowered factor of a block-diagonal operator.
+    """One lowered factor: called on a state vector, returns its image.
 
     Identity leaves are skipped, permutation leaves merge into one gather,
-    tensor powers of equal shape run as one batched kernel, and any other
-    leaf (dense, plane rotation) applies itself to its slice.
+    tensor powers of equal shape run as one batched kernel, a dense leaf
+    multiplies its slice and a plane rotation rotates its slice of the output.
     """
 
     def __init__(self, op):
@@ -479,13 +419,16 @@ class _Stage:
             index = offsets[:, np.newaxis] + np.arange(members[0][1].dim)
             self.groups.append((bases_t, index, copies))
 
-    def apply(self, v):
+    def __call__(self, v):
         v = np.asarray(v, dtype=complex)
         out = v.copy() if self.gather is None else v[self.gather]
         for bases_t, index, copies in self.groups:
             out[index] = _tensor_powers(bases_t, v[index], copies)
+        # leaves are disjoint, so each slice of out still equals that of v here
         for off, leaf in self.others:
             k = operator_dim(leaf)
-            seg = v[off : off + k]
-            out[off : off + k] = seg @ leaf if isinstance(leaf, np.ndarray) else leaf.apply(seg)
+            if isinstance(leaf, np.ndarray):
+                out[off : off + k] = v[off : off + k] @ leaf
+            else:
+                leaf.rotate(out[off : off + k])
         return out

@@ -13,6 +13,7 @@ so probabilities accumulate globally and no division by small norms occurs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def run_measure_once(q: QuantumAutomaton, word) -> linalg.OutcomeDistribution:
     plan = q.plan
     psi = q.initial
     for sym in _working_stream(q, word):
-        psi = linalg.apply(q.unitaries[sym], psi)
+        psi = plan.apply[sym](psi)
     return linalg.OutcomeDistribution(
         *(linalg.norm_squared(psi[idx]) for idx in (plan.acc, plan.rej, plan.non))
     )
@@ -117,7 +118,8 @@ def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
         raise ValueError("max_scans must be at least 1")
     stream = _working_stream(q, word)
     reports = []
-    for i, (p_acc, p_rej, psi) in enumerate(_measure_many(q, stream * max_scans), start=1):
+    scans = itertools.chain.from_iterable(itertools.repeat(stream, max_scans))
+    for i, (p_acc, p_rej, psi) in enumerate(_measure_many(q, scans), start=1):
         if i % len(stream) == 0:
             reports.append(linalg.OutcomeDistribution(p_acc, p_rej, linalg.norm_squared(psi)))
     return ScanReport(per_scan=tuple(reports), scans_executed=max_scans)

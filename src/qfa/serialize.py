@@ -31,10 +31,10 @@ class FileFormatError(ValueError):
     pass
 
 
-def _require(doc: dict, kind: str, keys):
+def _require(doc: dict, what: str, keys):
     missing = [k for k in keys if k not in doc]
     if missing:
-        raise FileFormatError(f"{kind} file is missing {', '.join(map(repr, missing))}")
+        raise FileFormatError(f"{what} is missing {', '.join(map(repr, missing))}")
 
 
 def _mapping(obj, what: str) -> dict:
@@ -47,6 +47,16 @@ def _list(doc: dict, key: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
         raise FileFormatError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _field(doc: dict, key: str, json_type: type):
+    """A required field of an operator spec, of type ``json_type``."""
+    _require(doc, f"{doc['op']} operator", (key,))
+    value = doc[key]
+    if not isinstance(value, json_type):
+        noun = "an integer" if json_type is int else "a list"
+        raise FileFormatError(f"{key} must be {noun}, got {value!r}")
     return value
 
 
@@ -77,7 +87,9 @@ def _vector_out(v: np.ndarray):
     return [_amp_out(z) for z in v]
 
 
-def _vector_in(items) -> np.ndarray:
+def _vector_in(items, what: str) -> np.ndarray:
+    if not isinstance(items, list):
+        raise FileFormatError(f"{what} must be a list, got {items!r}")
     return np.array([_amp_in(x) for x in items], dtype=complex)
 
 
@@ -105,7 +117,7 @@ def _operator_out(op):
 
 def _operator_in(obj, state_index=None):
     if isinstance(obj, list):
-        return np.array([[_amp_in(z) for z in row] for row in obj], dtype=complex)
+        return np.array([_vector_in(row, "a matrix row") for row in obj], dtype=complex)
     if not isinstance(obj, dict):
         raise FileFormatError(f"bad operator spec: {obj!r}")
     if "rows" in obj and "op" not in obj:
@@ -114,20 +126,22 @@ def _operator_in(obj, state_index=None):
         rows = _mapping(obj["rows"], "rows")
         for name in rows:
             _lookup(state_index, name, "a partial row")
-        return {name: _vector_in(row) for name, row in rows.items()}
+        return {name: _vector_in(row, f"partial row {name!r}") for name, row in rows.items()}
     kind = obj.get("op")
     if kind == "identity":
-        return linalg.IdentityOp(obj["dim"])
+        return linalg.IdentityOp(_field(obj, "dim", int))
     if kind == "tensor-power":
-        return linalg.TensorPowerOp(_operator_in(obj["base"]), obj["copies"])
+        base = _operator_in(_field(obj, "base", object))
+        return linalg.TensorPowerOp(base, _field(obj, "copies", int))
     if kind == "permutation":
-        return linalg.PermutationOp(obj["dest"])
+        return linalg.PermutationOp(_field(obj, "dest", list))
     if kind == "block-diag":
-        return linalg.BlockDiagOp([_operator_in(b) for b in obj["blocks"]])
+        return linalg.BlockDiagOp([_operator_in(b) for b in _field(obj, "blocks", list)])
     if kind == "composed":
-        return linalg.ComposedOp([_operator_in(f) for f in obj["factors"]])
+        return linalg.ComposedOp([_operator_in(f) for f in _field(obj, "factors", list)])
     if kind == "plane-rotation":
-        return linalg.PlaneRotationOp(obj["axis"], _vector_in(obj["target"]))
+        target = _vector_in(_field(obj, "target", object), "target")
+        return linalg.PlaneRotationOp(_field(obj, "axis", int), target)
     raise FileFormatError(f"unknown operator kind {kind!r}")
 
 
@@ -145,14 +159,14 @@ def qfa_to_dict(q: QuantumAutomaton) -> dict:
 
 
 def qfa_from_dict(doc: dict) -> QuantumAutomaton:
-    _require(doc, "qfa", ("states", "alphabet", "accepting", "rejecting", "initial", "unitaries"))
+    _require(doc, "qfa file", ("states", "alphabet", "accepting", "rejecting", "initial", "unitaries"))
     index = _state_index(doc)
     return make_qfa(
         states=doc["states"],
         alphabet=_list(doc, "alphabet"),
         accepting=[_lookup(index, s, "accepting") for s in _list(doc, "accepting")],
         rejecting=[_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")],
-        initial=_vector_in(_list(doc, "initial")),
+        initial=_vector_in(doc["initial"], "initial"),
         partial_unitaries={
             sym: _operator_in(spec, state_index=index)
             for sym, spec in _mapping(doc["unitaries"], "unitaries").items()
@@ -180,7 +194,7 @@ def classical_to_dict(c: ClassicalAutomaton) -> dict:
 
 def classical_from_dict(doc: dict) -> ClassicalAutomaton:
     kind = doc.get("kind", "dfa")
-    _require(doc, kind, ("states", "alphabet", "start", "accepting", "transitions"))
+    _require(doc, f"{kind} file", ("states", "alphabet", "start", "accepting", "transitions"))
     index = _state_index(doc)
     transitions = {}
     for src, row in _mapping(doc["transitions"], "transitions").items():
@@ -221,7 +235,7 @@ def prfa_to_dict(p: ProbabilisticAutomaton) -> dict:
 
 def prfa_from_dict(doc: dict) -> ProbabilisticAutomaton:
     _require(
-        doc, "prfa", ("states", "alphabet", "initial_distribution", "accepting", "transitions")
+        doc, "prfa file", ("states", "alphabet", "initial_distribution", "accepting", "transitions")
     )
     index = _state_index(doc)
     transitions = {}

@@ -300,6 +300,36 @@ class TestMalformedFiles:
         assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
         assert "outside the working alphabet: ['b']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"op": "identity"}, "identity operator is missing 'dim'"),
+            ({"op": "tensor-power", "base": [[[1.0, 0.0]]]}, "tensor-power operator is missing 'copies'"),
+            ({"op": "block-diag", "blocks": 5}, "blocks must be a list, got 5"),
+            ({"op": "plane-rotation", "axis": 0, "target": 5}, "target must be a list, got 5"),
+            ({"rows": {"s": 5}}, "partial row 's' must be a list, got 5"),
+            ({"op": "permutation", "dest": 3}, "dest must be a list, got 3"),
+            ({"op": "identity", "dim": [3]}, "dim must be an integer, got [3]"),
+            ([5, 5, 5], "a matrix row must be a list, got 5"),
+        ],
+        ids=["no-dim", "no-copies", "blocks", "target", "row", "dest", "dim", "matrix-row"],
+    )
+    def test_malformed_operator_spec(self, tmp_path, capsys, spec, message):
+        doc = {
+            "format_version": 1,
+            "kind": "qfa",
+            "states": ["s", "acc", "rej"],
+            "alphabet": ["a"],
+            "accepting": ["acc"],
+            "rejecting": ["rej"],
+            "initial": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "unitaries": {"a": spec},
+        }
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
     def test_qfa_duplicate_state_names(self, tmp_path, capsys, example_file):
         doc = json.loads(open(example_file).read())
         doc["states"][1] = doc["states"][0]

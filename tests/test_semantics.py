@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qfa import automata, linalg, semantics
 from qfa.automata import QuantumAutomaton
 from qfa.automata import prfa_to_qfa
 from qfa.constructions import (
+    amplified_rotation,
     astar_bstar_dfa,
     astar_bstar_qfa,
     block_dfa,
@@ -172,6 +174,20 @@ class TestRunMultiscan:
         with pytest.raises(ValueError):
             run_multiscan(example_qfa(), "a", 0)
 
+    def test_rescans_do_not_copy_the_tape(self):
+        q = random_dense_qfa(3, "n")
+        word, scans = "a" * 500, 20
+        run_multiscan(q, word, 1)  # the plan is built outside the measurement
+        tracemalloc.start()
+        try:
+            rep = run_multiscan(q, word, scans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.per_scan) == scans
+        # (|w| + 2) * scans symbols held at once would take 8 bytes each
+        assert peak < 8 * (len(word) + 2) * scans / 4
+
 
 class TestRunPrfa:
     def test_embedded_rfa_is_deterministic(self):
@@ -256,13 +272,16 @@ def test_prfa_against_qfa_on_all_short_words():
 
 # ---------------------------------------------------------------------------
 # The runner core before the compiled plan, kept as the oracle for the plan:
-# full state vectors through ``linalg.apply``, halting amplitudes gathered,
-# measured and zeroed in place after every step.
+# full state vectors times the dense form of each operator, halting
+# amplitudes gathered, measured and zeroed in place after every step.  The
+# dense form keeps structured automata independent of the lowering the plan
+# runs.
 # ---------------------------------------------------------------------------
 
 
 def reference_measure_many(q, stream):
     """(p_acc, p_rej, p_non) after each symbol of ``stream``, from the old core."""
+    dense = {sym: linalg.to_dense(u) for sym, u in q.unitaries.items()}
     acc_idx = np.array(sorted(q.accepting), dtype=np.intp)
     rej_idx = np.array(sorted(q.rejecting), dtype=np.intp)
 
@@ -276,7 +295,7 @@ def reference_measure_many(q, stream):
     p_acc, p_rej, psi = observe(q.initial.copy())
     steps = []
     for sym in stream:
-        d_acc, d_rej, psi = observe(linalg.apply(q.unitaries[sym], psi))
+        d_acc, d_rej, psi = observe(psi @ dense[sym])
         p_acc += d_acc
         p_rej += d_rej
         steps.append((p_acc, p_rej, linalg.norm_squared(psi)))
@@ -286,8 +305,9 @@ def reference_measure_many(q, stream):
 def reference_measure_once(q, word):
     psi = q.initial
     for sym in ("^",) + tuple(word) + ("$",):
-        psi = linalg.apply(q.unitaries[sym], psi)
-    return linalg.measure(psi, q.accepting, q.rejecting).distribution.as_tuple()
+        psi = psi @ linalg.to_dense(q.unitaries[sym])
+    classes = (q.accepting, q.rejecting, q.non_halting)
+    return tuple(linalg.norm_squared(psi[sorted(c)]) for c in classes)
 
 
 def random_unitary(rng, n):
@@ -317,6 +337,30 @@ def random_dense_qfa(seed, roles=None):
     )
 
 
+def top_level_ops_qfa():
+    """8-state QFA over {a, b} whose symbols are each one top-level structured op."""
+    rng = np.random.default_rng(17)
+    roles = "nnarnanr"
+    initial = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return QuantumAutomaton(
+        states=tuple(f"s{i}" for i in range(8)),
+        alphabet=("a", "b"),
+        accepting=frozenset(i for i, r in enumerate(roles) if r == "a"),
+        rejecting=frozenset(i for i, r in enumerate(roles) if r == "r"),
+        initial=initial / np.linalg.norm(initial),
+        unitaries={
+            "^": linalg.IdentityOp(8),
+            "a": linalg.PermutationOp(rng.permutation(8)),
+            "b": linalg.TensorPowerOp(random_unitary(rng, 2), 3),
+            "$": linalg.ComposedOp([
+                linalg.TensorPowerOp(random_unitary(rng, 2), 3),
+                linalg.PermutationOp(rng.permutation(8)),
+                random_unitary(rng, 8),
+            ]),
+        },
+    )
+
+
 # empty accepting or rejecting sets, no halting state, every state halting
 EDGE_ROLES = ("n", "a", "r", "ar", "nn", "nna", "nnr", "aarr", "nnnnnnnn", "narnarna")
 
@@ -326,14 +370,21 @@ def plan_cases():
     cases += [(f"roles-{r}", lambda r=r: random_dense_qfa(7, r)) for r in EDGE_ROLES]
     cases += [(f"prfa-{s}", lambda s=s: prfa_to_qfa(random_prfa(s))) for s in range(6)]
     cases += [(f"partial-{s}", lambda s=s: prfa_to_qfa(partial_row_prfa(s))) for s in range(6)]
+    cases += [
+        ("modp-5", lambda: modp_qfa(5, 0)),
+        ("amplified-rotation", lambda: amplified_rotation(5, 2, 3)),
+        ("modp-amplified-5", lambda: modp_qfa_amplified(5, 0.6, 0)),
+        ("equality-3", lambda: equality_qfa(3, 0.5, 6, 0)),
+        ("top-level-ops", top_level_ops_qfa),
+    ]
     return cases
 
 
-def sample_words(seed):
+def sample_words(seed, alphabet=("a", "b")):
     rng = np.random.default_rng(seed)
     words = ["", "a", "b", "ab", "ba", "bb"]
-    words += ["".join(rng.choice(["a", "b"], size=k)) for k in (3, 7, 12, 25, 40)]
-    return words
+    words += ["".join(rng.choice(list(alphabet), size=k)) for k in (3, 7, 12, 25, 40)]
+    return [w for w in words if set(w) <= set(alphabet)]
 
 
 def assert_close(got, want):
@@ -349,7 +400,7 @@ def all_floats(values):
 class TestPlanAgainstOldCore:
     def test_measure_many_and_trace(self, name, make):
         q = make()
-        for word in sample_words(len(name)):
+        for word in sample_words(len(name), q.alphabet):
             out = run_measure_many(q, word)
             want = reference_measure_many(q, ("^",) + tuple(word) + ("$",))
             assert_close(out.trace, [s[:2] for s in want])
@@ -358,7 +409,7 @@ class TestPlanAgainstOldCore:
 
     def test_prefixes(self, name, make):
         q = make()
-        word = sample_words(len(name))[-1]
+        word = sample_words(len(name), q.alphabet)[-1]
         for j, out in enumerate(run_prefixes(q, word)):
             want = reference_measure_many(q, ("^",) + tuple(word[:j]) + ("$",))
             assert_close(out.trace, [s[:2] for s in want])
@@ -367,7 +418,7 @@ class TestPlanAgainstOldCore:
 
     def test_every_scan(self, name, make):
         q = make()
-        for word in sample_words(len(name))[::3]:
+        for word in sample_words(len(name), q.alphabet)[::3]:
             stream = ("^",) + tuple(word) + ("$",)
             want = reference_measure_many(q, stream * 3)
             rep = run_multiscan(q, word, 3)
@@ -377,7 +428,7 @@ class TestPlanAgainstOldCore:
 
     def test_measure_once(self, name, make):
         q = make()
-        for word in sample_words(len(name)):
+        for word in sample_words(len(name), q.alphabet):
             got = run_measure_once(q, word).as_tuple()
             assert_close(got, reference_measure_once(q, word))
             assert all_floats(got)
@@ -386,14 +437,21 @@ class TestPlanAgainstOldCore:
 class TestPlan:
     def test_built_once_per_automaton(self, monkeypatch):
         built = []
+        stages = []
 
         class CountingPlan(automata.RunPlan):
             def __init__(self, q):
                 built.append(q)
                 super().__init__(q)
 
+        class CountingStage(linalg._Stage):
+            def __init__(self, op):
+                stages.append(op)
+                super().__init__(op)
+
         monkeypatch.setattr(automata, "RunPlan", CountingPlan)
-        dense, structured = random_dense_qfa(3), modp_qfa(5, seed=0)
+        monkeypatch.setattr(linalg, "_Stage", CountingStage)
+        dense, structured = random_dense_qfa(3), equality_qfa(3, 0.5, 6, 0)
         for q in (dense, structured):
             for _ in range(3):
                 run_measure_many(q, "aa")
@@ -401,12 +459,16 @@ class TestPlan:
                 run_multiscan(q, "a", 2)
                 run_measure_once(q, "a")
         assert [id(q) for q in built] == [id(dense), id(structured)]
+        one_lowering = sum(len(linalg._factors(u)) for u in structured.unitaries.values())
+        assert one_lowering > len(structured.unitaries)  # its $ lowers to several stages
+        assert len(stages) == one_lowering
 
     def test_plan_kind_follows_operator_types(self):
         dense = random_dense_qfa(5, "nnar")
         assert dense.plan.ops["a"].shape == (2, 4)
         structured = modp_qfa(5, seed=0)
-        assert structured.plan.ops["a"] is structured.unitaries["a"]
+        assert structured.plan.ops is structured.plan.apply
+        assert all(callable(op) and not isinstance(op, np.ndarray) for op in structured.plan.ops.values())
         assert structured.plan.begin()[2].shape == (structured.dim,)
         assert dense.plan.begin()[2].shape == (2,)
 

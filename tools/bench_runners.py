@@ -3,13 +3,18 @@
     python tools/bench_runners.py [--src DIR] [--label NAME]
 
 Times ``run_measure_many``, ``run_measure_once``, ``run_multiscan`` (2 scans),
-``run_prefixes`` and ``run_prfa`` over every word over {a, b} up to length 9
-(1,023 words, the ``dense-small`` sweep) on two families:
+``run_prefixes`` and ``run_prfa`` on three families:
 
 - ``prfa``: ``prfa_to_qfa(random_prfa(seed))`` for the first seeds that give
   2, 3, 4 and 5 states, with ``run_prfa`` on the source PRFA;
 - ``dense``: random dense QFAs of dimension 8, 16, 32 and 64 (unitaries from a
-  complex QR, a quarter of the states accepting and a quarter rejecting).
+  complex QR, a quarter of the states accepting and a quarter rejecting);
+- ``structured``: the composite automata ``modp_qfa(p)`` for p = 5, 13, 31
+  and ``modp_qfa_amplified(p, 0.6)`` for p = 5, 11, 13, whose symbols are
+  block-diagonal tensor powers and permutations and a plane rotation.
+
+The first two run every word over {a, b} up to length 9 (1,023 words, the
+``dense-small`` sweep), the third every word a^0 ... a^40.
 
 Each (automaton, runner) pair gets one warm-up pass over the first 50 words,
 then 7 timed passes; the median and quartiles of the per-word time are
@@ -37,14 +42,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRFA_DIMS = (2, 3, 4, 5)
 DENSE_DIMS = (8, 16, 32, 64)
 MAX_LEN = 9
+MODP_PRIMES = (5, 13, 31)
+AMPLIFIED_PRIMES = (5, 11, 13)
+STRUCTURED_MAX_LEN = 40
 SCANS = 2
 WARMUP_WORDS = 50
 RUNS = 7
 OUT = os.path.join(ROOT, "BENCH_runners.json")
 
 
-def words_up_to(max_len):
-    return [w for k in range(max_len + 1) for w in itertools.product("ab", repeat=k)]
+def words_up_to(max_len, alphabet="ab"):
+    return [w for k in range(max_len + 1) for w in itertools.product(alphabet, repeat=k)]
+
+
+def structured_cases(constructions):
+    cases = [(constructions.modp_qfa(p), f"modp_qfa({p})") for p in MODP_PRIMES]
+    cases += [(constructions.modp_qfa_amplified(p, 0.6), f"modp_qfa_amplified({p}, 0.6)")
+              for p in AMPLIFIED_PRIMES]
+    return [(f"structured-{q.dim}", q.dim, source, q, None) for q, source in cases]
 
 
 def prfa_cases(constructions, automata):
@@ -113,12 +128,15 @@ def main(argv=None) -> int:
     from qfa import automata, constructions, semantics
 
     words = words_up_to(MAX_LEN)
+    sweeps = {("a", "b"): words, ("a",): words_up_to(STRUCTURED_MAX_LEN, "a")}
     cases = prfa_cases(constructions, automata)
     cases += [(f"dense-{n}", n, f"random dense, seed {n}", dense_qfa(np, automata, n, n), None)
               for n in DENSE_DIMS]
+    cases += structured_cases(constructions)
 
     rows = []
     for name, dim, source, q, prfa in cases:
+        sweep = sweeps[tuple(q.alphabet)]
         runners = {
             "run_measure_many": lambda w: semantics.run_measure_many(q, w),
             "run_measure_once": lambda w: semantics.run_measure_once(q, w),
@@ -127,7 +145,7 @@ def main(argv=None) -> int:
         }
         if prfa is not None:
             runners["run_prfa"] = lambda w: semantics.run_prfa(prfa, w)
-        timings = {r: time_runner(fn, words, RUNS) for r, fn in runners.items()}
+        timings = {r: time_runner(fn, sweep, RUNS) for r, fn in runners.items()}
         rows.append({"automaton": name, "dim": dim, "source": source, "per_word": timings})
         print(name, {r: t["median_us"] for r, t in timings.items()}, file=sys.stderr)
 
@@ -142,6 +160,7 @@ def main(argv=None) -> int:
         },
         "method": {
             "words": f"all {len(words)} words over {{a,b}} of length <= {MAX_LEN}",
+            "structured_words": f"a^0 ... a^{STRUCTURED_MAX_LEN}",
             "warmup_words": WARMUP_WORDS,
             "runs": RUNS,
             "statistic": "median and quartiles over runs of the mean time per word, microseconds",
