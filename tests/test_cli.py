@@ -311,8 +311,22 @@ class TestMalformedFiles:
             ({"op": "permutation", "dest": 3}, "dest must be a list, got 3"),
             ({"op": "identity", "dim": [3]}, "dim must be an integer, got [3]"),
             ([5, 5, 5], "a matrix row must be a list, got 5"),
+            ({"op": "permutation", "dest": [1.9, 0, 2]}, "dest must hold integers, got dtype float64"),
+            ({"op": "permutation", "dest": ["0", "1", "2"]}, "dest must hold integers, got dtype <U1"),
+            (
+                {"op": "block-diag", "blocks": [{"op": "identity", "dim": True}, {"op": "identity", "dim": 2}]},
+                "dim must be an integer, got True",
+            ),
+            (
+                {"op": "plane-rotation", "axis": False, "target": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]},
+                "axis must be an integer, got False",
+            ),
+            ({"op": "tensor-power", "base": [[[1.0, 0.0]]], "copies": True}, "copies must be an integer, got True"),
         ],
-        ids=["no-dim", "no-copies", "blocks", "target", "row", "dest", "dim", "matrix-row"],
+        ids=[
+            "no-dim", "no-copies", "blocks", "target", "row", "dest", "dim", "matrix-row",
+            "float-dest", "string-dest", "bool-dim", "bool-axis", "bool-copies",
+        ],
     )
     def test_malformed_operator_spec(self, tmp_path, capsys, spec, message):
         doc = {
@@ -330,11 +344,21 @@ class TestMalformedFiles:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
 
-    def test_qfa_duplicate_state_names(self, tmp_path, capsys, example_file):
-        doc = json.loads(open(example_file).read())
-        doc["states"][1] = doc["states"][0]
+    @pytest.mark.parametrize("kind", ["qfa", "dfa", "rfa", "prfa"])
+    def test_duplicate_state_names(self, tmp_path, capsys, example_file, kind):
+        if kind == "qfa":
+            doc = json.loads(open(example_file).read())
+            doc["states"][1] = doc["states"][0]
+        elif kind == "prfa":
+            doc = dict(self.PRFA, states=["s", "s", "acc"])
+        else:
+            doc = dict(self.DFA, kind=kind, states=["p", "p"], start="p", transitions={"p": {"a": "p"}})
+            if kind == "rfa":
+                doc["halting_mode"] = "halt-on-enter"
         assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
-        assert "duplicate state names" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "duplicate state names" in err
 
 
 class TestOsErrors:

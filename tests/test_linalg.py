@@ -227,6 +227,16 @@ class TestStructuredOps:
         with pytest.raises(ValueError):
             PermutationOp([0, 0, 1])
 
+    @pytest.mark.parametrize(
+        "dest", [[1.9, 0, 2], [1.0, 0.0], ["0", "1"], [True, False]], ids=["float", "whole-float", "str", "bool"]
+    )
+    def test_permutation_rejects_non_integers(self, dest):
+        with pytest.raises(ValueError, match="must hold integers"):
+            PermutationOp(dest)
+
+    def test_permutation_accepts_unsigned_integers(self):
+        assert PermutationOp(np.array([1, 0], dtype=np.uint8)).dest.tolist() == [1, 0]
+
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_block_diag_and_composed_match_dense(self, seed):

@@ -1,0 +1,81 @@
+"""Time reversibilization and the equivalence check on the block family.
+
+    python tools/bench_analysis.py [--src DIR] [--label NAME]
+
+For m = 8 ... 12, times ``reversibilize(minimize_dfa(block_dfa(m)))`` and
+``dfa_equivalent(block_dfa(m), rfa)`` on the RFA it returns.  The minimal
+DFA is built once per m and is not part of the first timing.
+
+Each timing gets one warm-up call, then 7 timed calls; the median and
+quartiles are reported in milliseconds, with the number of RFA states.
+OpenBLAS is pinned to one thread before numpy is imported.  ``--src`` points
+at the ``src`` directory of the checkout to time (default: this checkout),
+so two versions can be measured with the same script.  The result is stored
+under ``--label`` in ``BENCH_analysis.json`` at the repository root; other
+labels already in the file are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+from bench_runners import ROOT, machine_info, store_result
+
+BLOCK_SIZES = range(8, 13)
+RUNS = 7
+OUT = os.path.join(ROOT, "BENCH_analysis.json")
+
+
+def time_call(fn, runs):
+    """Median and quartiles of ``runs`` timed calls after one warm-up, and the last result."""
+    result = fn()
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append((time.perf_counter() - t0) * 1e3)
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_ms": round(median, 3), "q1_ms": round(q1, 3), "q3_ms": round(q3, 3)}, result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
+    ap.add_argument("--label", default="current")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    import numpy as np
+    from qfa import analysis, constructions
+
+    rows = []
+    for m in BLOCK_SIZES:
+        dfa = constructions.block_dfa(m)
+        minimal = analysis.minimize_dfa(dfa)
+        rev, rfa = time_call(lambda: analysis.reversibilize(minimal), RUNS)
+        equiv, (same, _) = time_call(lambda: analysis.dfa_equivalent(dfa, rfa), RUNS)
+        assert same, f"block_dfa({m}) and its RFA differ"
+        rows.append({"m": m, "rfa_states": rfa.n_states, "reversibilize": rev, "dfa_equivalent": equiv})
+        print(f"m={m}", rfa.n_states, rev["median_ms"], equiv["median_ms"], file=sys.stderr)
+
+    store_result(OUT, args.label, {
+        "machine": machine_info(np),
+        "method": {
+            "automata": f"block_dfa(m) for m = {BLOCK_SIZES.start}..{BLOCK_SIZES.stop - 1}",
+            "reversibilize": "reversibilize(minimize_dfa(block_dfa(m))), minimization not timed",
+            "dfa_equivalent": "dfa_equivalent(block_dfa(m), rfa)",
+            "warmup_calls": 1,
+            "runs": RUNS,
+            "statistic": "median and quartiles over runs of one call, milliseconds",
+        },
+        "results": rows,
+    })
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -104,6 +104,30 @@ def cpu_model():
     return platform.processor() or platform.machine()
 
 
+def machine_info(np) -> dict:
+    """The host, interpreter and numpy a result was measured with."""
+    return {
+        "platform": platform.platform(),
+        "processor": cpu_model(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+    }
+
+
+def store_result(path: str, label: str, result: dict):
+    """Store ``result`` under ``label`` in the JSON file at ``path``, keeping other labels."""
+    doc = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc[label] = result
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def time_runner(fn, words, runs):
     for w in words[:WARMUP_WORDS]:
         fn(w)
@@ -150,14 +174,7 @@ def main(argv=None) -> int:
         print(name, {r: t["median_us"] for r, t in timings.items()}, file=sys.stderr)
 
     result = {
-        "machine": {
-            "platform": platform.platform(),
-            "processor": cpu_model(),
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
-        },
+        "machine": machine_info(np),
         "method": {
             "words": f"all {len(words)} words over {{a,b}} of length <= {MAX_LEN}",
             "structured_words": f"a^0 ... a^{STRUCTURED_MAX_LEN}",
@@ -168,14 +185,7 @@ def main(argv=None) -> int:
         },
         "results": rows,
     }
-    doc = {}
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc[args.label] = result
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    store_result(OUT, args.label, result)
     return 0
 
 
