@@ -25,6 +25,9 @@ RIGHT_END = "$"
 END_OF_WORD = "end-of-word"
 HALT_ON_ENTER = "halt-on-enter"
 
+# probability sums of a PRFA must be within this of 1
+_PRFA_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class QuantumAutomaton:
@@ -180,6 +183,17 @@ class ProbabilisticAutomaton:
     def halting(self) -> frozenset:
         return self.accepting | self.rejecting
 
+    @cached_property
+    def rows(self) -> dict:
+        """``transitions`` with every implicit self-loop of a non-halting state
+        spelled out: a missing working-symbol row of a live state keeps its mass."""
+        out = dict(self.transitions)
+        for sym in tuple(self.alphabet) + (LEFT_END, RIGHT_END):
+            for s in range(self.n_states):
+                if s not in self.halting:
+                    out.setdefault((s, sym), [(s, 1.0)])
+        return out
+
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -201,7 +215,6 @@ def make_qfa(
     rejecting,
     initial,
     partial_unitaries,
-    tol: float = linalg.DEFAULT_TOL,
 ) -> QuantumAutomaton:
     """Build a QFA from partially specified transition rows.
 
@@ -225,7 +238,7 @@ def make_qfa(
                 i = index[name]
                 partial[i] = linalg.as_state_vector(row)
                 rows.add(i)
-            return linalg.complete_unitary(partial, rows, tol)
+            return linalg.complete_unitary(partial, rows)
         if isinstance(spec, np.ndarray):
             return linalg.as_matrix(spec)
         return spec  # structured operator
@@ -325,21 +338,21 @@ def validate_classical(c: ClassicalAutomaton) -> list:
     return problems
 
 
-def validate_prfa(p: ProbabilisticAutomaton, tol: float = 1e-12) -> list:
+def validate_prfa(p: ProbabilisticAutomaton) -> list:
     """Invariant report for PRFAs.
 
     A missing (state, symbol) entry of a non-halting state is an implicit
     self-loop and counts in the reversibility check; halting states have no
-    outgoing edges.
+    outgoing edges.  A probability sum that is NaN fails like any other.
     """
     problems = []
     n = p.n_states
     total = 0.0
     for _, prob in p.initial_distribution:
-        if prob < -tol:
+        if prob < -_PRFA_TOL:
             problems.append("negative initial probability")
         total += prob
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= _PRFA_TOL:
         problems.append(f"initial distribution sums to {total!r}")
     for (s, a), edges in p.transitions.items():
         if s in p.halting:
@@ -348,14 +361,14 @@ def validate_prfa(p: ProbabilisticAutomaton, tol: float = 1e-12) -> list:
             problems.append(f"edge out of ({p.states[s]}, {a!r}) targets an invalid state")
             continue
         mass = sum(prob for _, prob in edges)
-        if abs(mass - 1.0) > tol:
+        if not abs(mass - 1.0) <= _PRFA_TOL:
             problems.append(
                 f"outgoing probabilities from ({p.states[s]}, {a!r}) sum to {mass!r}"
             )
-        if any(prob < -tol for _, prob in edges):
+        if any(prob < -_PRFA_TOL for _, prob in edges):
             problems.append(f"negative probability out of ({p.states[s]}, {a!r})")
     seen = {}
-    for (s, a), edges in sorted(_explicit_transitions(p).items()):
+    for (s, a), edges in sorted(p.rows.items()):
         for t, prob in edges:
             if prob <= 0:
                 continue
@@ -367,16 +380,6 @@ def validate_prfa(p: ProbabilisticAutomaton, tol: float = 1e-12) -> list:
                 )
             seen[key] = s
     return problems
-
-
-def _explicit_transitions(p: ProbabilisticAutomaton) -> dict:
-    """The transitions with every implicit self-loop of a non-halting state spelled out."""
-    out = dict(p.transitions)
-    for sym in tuple(p.alphabet) + (LEFT_END, RIGHT_END):
-        for s in range(p.n_states):
-            if s not in p.halting:
-                out.setdefault((s, sym), [(s, 1.0)])
-    return out
 
 
 def is_reversible(c: ClassicalAutomaton):
@@ -418,50 +421,34 @@ def rfa_to_prfa(c: ClassicalAutomaton) -> ProbabilisticAutomaton:
     )
 
 
-def prfa_to_qfa(p: ProbabilisticAutomaton, tol: float = linalg.DEFAULT_TOL) -> QuantumAutomaton:
+def prfa_to_qfa(p: ProbabilisticAutomaton) -> QuantumAutomaton:
     """Square-root embedding of a PRFA into a QFA.
 
-    Each edge probability becomes an amplitude equal to its square root and
-    the initial distribution becomes the corresponding superposition.  The
-    PRFA reversibility invariant makes the specified rows orthonormal, so
-    each per-symbol matrix extends to a unitary; outcome probabilities then
-    agree with the PRFA on every word.
+    The probabilities of each row (and of the initial distribution) are summed
+    per target, so a target listed twice counts once with their total, and
+    each sum becomes an amplitude equal to its square root.  The PRFA
+    reversibility invariant makes the rows orthonormal, so ``make_qfa``
+    extends each symbol's rows to a unitary; outcome probabilities then agree
+    with the PRFA on every word.  Halting rows stay unspecified: the rows
+    entering a halting state already span it.
     """
     problems = validate_prfa(p)
     if problems:
         raise ValueError("invalid PRFA: " + "; ".join(problems))
     n = p.n_states
-    # halting rows stay unspecified: rows entering a halting state already span it
-    transitions = _explicit_transitions(p)
-    unitaries = {}
-    for sym in tuple(p.alphabet) + (LEFT_END, RIGHT_END):
-        partial = np.zeros((n, n), dtype=complex)
-        rows = set()
-        for s in range(n):
-            if (s, sym) not in transitions:
-                continue
-            for t, prob in transitions[(s, sym)]:
-                partial[s, t] = np.sqrt(prob)
-            rows.add(s)
-        if rows:
-            try:
-                unitaries[sym] = linalg.complete_unitary(partial, rows, tol)
-            except linalg.NotCompletableError as exc:
-                raise ValueError(
-                    f"PRFA rows for symbol {sym!r} are not orthonormal: {exc}"
-                ) from exc
-        else:
-            unitaries[sym] = np.eye(n, dtype=complex)
-    initial = np.zeros(n, dtype=complex)
-    for s, prob in p.initial_distribution:
-        initial[s] = np.sqrt(prob)
-    return QuantumAutomaton(
-        states=p.states,
-        alphabet=p.alphabet,
-        accepting=p.accepting,
-        rejecting=p.rejecting,
-        initial=initial,
-        unitaries=unitaries,
+
+    def amplitudes(edges):
+        row = np.zeros(n)
+        for t, prob in edges:
+            row[t] += prob
+        return np.sqrt(row)
+
+    rows = {sym: {} for sym in tuple(p.alphabet) + (LEFT_END, RIGHT_END)}
+    for (s, sym), edges in p.rows.items():
+        if sym in rows:  # rows for symbols outside the working alphabet are ignored
+            rows[sym][p.states[s]] = amplitudes(edges)
+    return make_qfa(
+        p.states, p.alphabet, p.accepting, p.rejecting, amplitudes(p.initial_distribution), rows
     )
 
 

@@ -54,7 +54,7 @@ def _load(path, tolerance):
     else:
         problems = validate_prfa(auto)
     if problems:
-        raise CliError(f"{path} failed validation:\n  " + "\n  ".join(problems))
+        raise CliError(f"{path} failed validation: " + "; ".join(problems))
     return auto
 
 

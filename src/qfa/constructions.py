@@ -84,10 +84,10 @@ def example_qfa() -> QuantumAutomaton:
     )
 
 
-def solve_success_probability(tol: float = 1e-14) -> float:
-    """Root of p^3 + p = 1 in (0, 1), by bisection."""
+def solve_success_probability() -> float:
+    """Root of p^3 + p = 1 in (0, 1), by bisection to a bracket of 1e-14."""
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-14:
         mid = (lo + hi) / 2.0
         if mid**3 + mid - 1.0 < 0.0:
             lo = mid
@@ -526,6 +526,24 @@ def block_dfa(m: int) -> ClassicalAutomaton:
 # ---------------------------------------------------------------------------
 
 
+def _unary_rfa(states, a_targets, end_targets, accepting) -> ClassicalAutomaton:
+    """Halt-on-enter RFA over {a} whose live states 0 and 1 keep their place on
+    ^ and move to ``a_targets[s]`` on a and ``end_targets[s]`` on $; every
+    other state halts, accepting if it is in ``accepting``."""
+    transitions = {(s, LEFT_END): s for s in (0, 1)}
+    transitions.update({(s, "a"): t for s, t in enumerate(a_targets)})
+    transitions.update({(s, RIGHT_END): t for s, t in enumerate(end_targets)})
+    return ClassicalAutomaton(
+        states=states,
+        alphabet=("a",),
+        start=0,
+        accepting=frozenset(accepting),
+        rejecting=frozenset(range(2, len(states))) - frozenset(accepting),
+        transitions=transitions,
+        halting_mode=HALT_ON_ENTER,
+    )
+
+
 def parity_prfa_trio():
     """Three reversible automata whose majority vote decides {a^(2n+3)}.
 
@@ -533,54 +551,11 @@ def parity_prfa_trio():
     nothing, respectively; the bundled automaton starts in each with
     probability 1/3, so every word is decided correctly with probability 2/3.
     """
-    odd = ClassicalAutomaton(
-        states=("even", "odd", "acc(odd)", "rej(even)"),
-        alphabet=("a",),
-        start=0,
-        accepting=frozenset({2}),
-        rejecting=frozenset({3}),
-        transitions={
-            (0, LEFT_END): 0,
-            (1, LEFT_END): 1,
-            (0, "a"): 1,
-            (1, "a"): 0,
-            (0, RIGHT_END): 3,
-            (1, RIGHT_END): 2,
-        },
-        halting_mode=HALT_ON_ENTER,
+    odd = _unary_rfa(("even", "odd", "acc(odd)", "rej(even)"), (1, 0), (3, 2), {2})
+    at_least_two = _unary_rfa(
+        ("len0", "len1", "acc(2+)", "rej(len0)", "rej(len1)"), (1, 2), (3, 4), {2}
     )
-    at_least_two = ClassicalAutomaton(
-        states=("len0", "len1", "acc(2+)", "rej(len0)", "rej(len1)"),
-        alphabet=("a",),
-        start=0,
-        accepting=frozenset({2}),
-        rejecting=frozenset({3, 4}),
-        transitions={
-            (0, LEFT_END): 0,
-            (1, LEFT_END): 1,
-            (0, "a"): 1,
-            (1, "a"): 2,
-            (0, RIGHT_END): 3,
-            (1, RIGHT_END): 4,
-        },
-        halting_mode=HALT_ON_ENTER,
-    )
-    nothing = ClassicalAutomaton(
-        states=("len0", "len1", "rej(2+)", "rej(len0)", "rej(len1)"),
-        alphabet=("a",),
-        start=0,
-        accepting=frozenset(),
-        rejecting=frozenset({2, 3, 4}),
-        transitions={
-            (0, LEFT_END): 0,
-            (1, LEFT_END): 1,
-            (0, "a"): 1,
-            (1, "a"): 2,
-            (0, RIGHT_END): 3,
-            (1, RIGHT_END): 4,
-        },
-        halting_mode=HALT_ON_ENTER,
-    )
+    nothing = _unary_rfa(("len0", "len1", "rej(2+)", "rej(len0)", "rej(len1)"), (1, 2), (3, 4), ())
     rfas = (odd, at_least_two, nothing)
 
     names = []

@@ -114,11 +114,11 @@ def unitarity_defect(m) -> float:
     return m.unitarity_defect()
 
 
-def complete_unitary(partial, specified_rows, tol: float = DEFAULT_TOL) -> np.ndarray:
+def complete_unitary(partial, specified_rows) -> np.ndarray:
     """Extend a partially specified transition matrix to a full unitary.
 
     ``specified_rows`` are indices of basis states whose images are given in
-    ``partial``; they must be pairwise orthonormal within ``tol``.  The
+    ``partial``; they must be pairwise orthonormal within ``DEFAULT_TOL``.  The
     remaining rows are filled with an orthonormal basis of the complement,
     built by Gram-Schmidt over basis vectors in index order, which makes the
     completion reproducible bit for bit.
@@ -132,9 +132,9 @@ def complete_unitary(partial, specified_rows, tol: float = DEFAULT_TOL) -> np.nd
     if rows:
         gram = np.array([[np.vdot(a, b) for b in rows] for a in rows])
         defect = float(np.abs(gram - np.eye(len(rows))).max())
-        if defect > tol:
+        if defect > DEFAULT_TOL:
             raise NotCompletableError(
-                f"specified rows are not orthonormal (deviation {defect:.3e} > {tol:.1e})"
+                f"specified rows are not orthonormal (deviation {defect:.3e} > {DEFAULT_TOL:.1e})"
             )
 
     basis = list(rows)

@@ -146,12 +146,12 @@ def run_prfa(p: ProbabilisticAutomaton, word) -> RunOutcome:
             p_rej += prob
         else:
             dist[s] = dist.get(s, 0.0) + prob
+    rows = p.rows
     trace = []
     for sym in stream:
         nxt = {}
         for s, mass in dist.items():
-            edges = p.transitions.get((s, sym), ((s, 1.0),))
-            for t, prob in edges:
+            for t, prob in rows[(s, sym)]:
                 if prob == 0.0:
                     continue
                 nxt[t] = nxt.get(t, 0.0) + mass * prob
@@ -183,6 +183,7 @@ def sample_prfa(p: ProbabilisticAutomaton, word, n_samples: int, seed: int = 0):
         return edges[-1][0]
 
     counts = {"acc": 0, "rej": 0, "non": 0}
+    rows = p.rows
     init = tuple(p.initial_distribution)
     for _ in range(n_samples):
         state = pick(init, rng.random())
@@ -193,8 +194,7 @@ def sample_prfa(p: ProbabilisticAutomaton, word, n_samples: int, seed: int = 0):
             verdict = "rej"
         else:
             for sym in stream:
-                edges = p.transitions.get((state, sym), ((state, 1.0),))
-                state = pick(edges, rng.random())
+                state = pick(rows[(state, sym)], rng.random())
                 if state in p.accepting:
                     verdict = "acc"
                     break

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from qfa import automata, linalg, semantics
+from qfa.analysis import reversibilize
 from qfa.automata import (
     HALT_ON_ENTER,
     LEFT_END,
     RIGHT_END,
     ClassicalAutomaton,
+    ProbabilisticAutomaton,
+    QuantumAutomaton,
     is_reversible,
     make_qfa,
     prfa_to_qfa,
@@ -327,6 +330,138 @@ def test_initial_halting_mass_counts_before_left_end():
         assert (out.p_acc, out.p_rej, out.p_non) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
     for scan in semantics.run_multiscan(q, "a", 3).per_scan:
         assert scan.as_tuple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+
+
+def _explicit_transitions(p: ProbabilisticAutomaton) -> dict:
+    """The transitions with every implicit self-loop of a non-halting state spelled out."""
+    out = dict(p.transitions)
+    for sym in tuple(p.alphabet) + (LEFT_END, RIGHT_END):
+        for s in range(p.n_states):
+            if s not in p.halting:
+                out.setdefault((s, sym), [(s, 1.0)])
+    return out
+
+
+def reference_prfa_to_qfa(p: ProbabilisticAutomaton) -> QuantumAutomaton:
+    """Oracle: ``prfa_to_qfa`` as it was with its own completion loop.
+
+    It assigns (rather than sums) the amplitude of a repeated entry, so it is
+    only an oracle for PRFAs that list each state once per row.
+    """
+    problems = validate_prfa(p)
+    if problems:
+        raise ValueError("invalid PRFA: " + "; ".join(problems))
+    n = p.n_states
+    # halting rows stay unspecified: rows entering a halting state already span it
+    transitions = _explicit_transitions(p)
+    unitaries = {}
+    for sym in tuple(p.alphabet) + (LEFT_END, RIGHT_END):
+        partial = np.zeros((n, n), dtype=complex)
+        rows = set()
+        for s in range(n):
+            if (s, sym) not in transitions:
+                continue
+            for t, prob in transitions[(s, sym)]:
+                partial[s, t] = np.sqrt(prob)
+            rows.add(s)
+        if rows:
+            try:
+                unitaries[sym] = linalg.complete_unitary(partial, rows)
+            except linalg.NotCompletableError as exc:
+                raise ValueError(
+                    f"PRFA rows for symbol {sym!r} are not orthonormal: {exc}"
+                ) from exc
+        else:
+            unitaries[sym] = np.eye(n, dtype=complex)
+    initial = np.zeros(n, dtype=complex)
+    for s, prob in p.initial_distribution:
+        initial[s] = np.sqrt(prob)
+    return QuantumAutomaton(
+        states=p.states,
+        alphabet=p.alphabet,
+        accepting=p.accepting,
+        rejecting=p.rejecting,
+        initial=initial,
+        unitaries=unitaries,
+    )
+
+
+def _conversion_corpus():
+    rfas, trio = parity_prfa_trio()
+    yield from (random_prfa(seed) for seed in range(300))
+    yield from (partial_row_prfa(seed) for seed in range(100))
+    yield trio
+    yield from (rfa_to_prfa(rfa) for rfa in rfas)
+    # m = 5 gives 618 states, whose completion alone takes ~15 s per conversion
+    yield from (rfa_to_prfa(reversibilize(block_dfa(m))) for m in range(1, 5))
+
+
+def test_prfa_to_qfa_matches_reference_bit_for_bit():
+    count = 0
+    for p in _conversion_corpus():
+        got, want = prfa_to_qfa(p), reference_prfa_to_qfa(p)
+        assert got.states == want.states and got.alphabet == want.alphabet
+        assert (got.accepting, got.rejecting) == (want.accepting, want.rejecting)
+        assert got.initial.dtype == want.initial.dtype
+        assert np.array_equal(got.initial, want.initial)
+        assert list(got.unitaries) == list(want.unitaries)
+        for sym, m in want.unitaries.items():
+            assert got.unitaries[sym].dtype == m.dtype
+            assert np.array_equal(got.unitaries[sym], m)
+        count += 1
+    assert count == 408
+
+
+class TestRepeatedEntries:
+    """A state listed twice in one distribution counts with the sum of its masses."""
+
+    @staticmethod
+    def prfa(initial, transitions):
+        return ProbabilisticAutomaton(
+            states=("s0", "s1", "acc", "rej"),
+            alphabet=("a",),
+            initial_distribution=initial,
+            accepting=frozenset({2}),
+            rejecting=frozenset({3}),
+            transitions=transitions,
+        )
+
+    CASES = {
+        "initial-halves": (
+            ((0, 0.5), (0, 0.5)),
+            {(0, "a"): [(1, 1.0)], (1, "a"): [(0, 1.0)], (0, RIGHT_END): [(2, 1.0)], (1, RIGHT_END): [(3, 1.0)]},
+        ),
+        "initial-quarters": (
+            ((1, 0.25), (0, 0.0), (1, 0.75)),
+            {(0, "a"): [(1, 1.0)], (1, "a"): [(0, 1.0)], (0, RIGHT_END): [(2, 1.0)], (1, RIGHT_END): [(3, 1.0)]},
+        ),
+        "edge-halves": (
+            ((0, 1.0),),
+            {(0, "a"): [(1, 0.5), (1, 0.5)], (1, "a"): [(0, 1.0)], (0, RIGHT_END): [(2, 1.0)], (1, RIGHT_END): [(3, 1.0)]},
+        ),
+        "edge-quarters": (
+            ((0, 0.5), (1, 0.5)),
+            {
+                (0, "a"): [(2, 0.25), (0, 0.5), (2, 0.25)],
+                (1, "a"): [(3, 0.25), (1, 0.75)],
+                (0, RIGHT_END): [(3, 0.25), (3, 0.75)],
+                (1, RIGHT_END): [(2, 1.0)],
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_prfa_agrees_with_square_root_qfa(self, case):
+        p = self.prfa(*self.CASES[case])
+        assert validate_prfa(p) == []
+        q = prfa_to_qfa(p)
+        assert validate(q) == []
+        for k in range(7):
+            want = semantics.run_prfa(p, "a" * k)
+            got = semantics.run_measure_many(q, "a" * k)
+            assert (got.p_acc, got.p_rej, got.p_non) == pytest.approx(
+                (want.p_acc, want.p_rej, want.p_non), abs=1e-12
+            )
 
 
 class TestClassicalValidation:

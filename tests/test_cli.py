@@ -344,6 +344,36 @@ class TestMalformedFiles:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("initial_distribution", [["s", float("nan")]]),
+            ("transitions", {"s": {"a": [["acc", float("nan")]]}}),
+        ],
+        ids=["nan-initial", "nan-edge"],
+    )
+    def test_malformed_prfa(self, tmp_path, capsys, key, value):
+        assert self.run_on(tmp_path, dict(self.PRFA, **{key: value}), ["run", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "failed validation" in err and "to nan" in err
+
+    def test_validation_failure_is_one_line(self, tmp_path, capsys):
+        doc = {
+            "format_version": 1,
+            "kind": "qfa",
+            "states": ["s", "acc", "rej"],
+            "alphabet": ["a"],
+            "accepting": ["acc"],
+            "rejecting": ["rej"],
+            "initial": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "unitaries": {"a": {"op": "identity", "dim": 2}, "$": {"op": "identity", "dim": 4}},
+        }
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "symbol 'a': matrix dimension 2 != 3; symbol '$': matrix dimension 4 != 3" in err
+
     @pytest.mark.parametrize("kind", ["qfa", "dfa", "rfa", "prfa"])
     def test_duplicate_state_names(self, tmp_path, capsys, example_file, kind):
         if kind == "qfa":
