@@ -9,7 +9,6 @@ language equivalence with shortest counterexamples.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from collections import deque
 
@@ -20,6 +19,7 @@ from .automata import (
     RIGHT_END,
     ClassicalAutomaton,
     is_reversible,
+    non_reversibilities,
 )
 from .linalg import CapacityError
 
@@ -153,17 +153,28 @@ def minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
     )
 
 
-def is_all_accepting(c: ClassicalAutomaton, state: int) -> bool:
-    """True iff every continuation from this state is accepted."""
-    return all(s in c.accepting for s in _reachable(c.transitions, c.alphabet, state))
+def _fates(c: ClassicalAutomaton):
+    """The all-accepting and the all-rejecting states of a plain DFA.
 
-
-def is_all_rejecting(c: ClassicalAutomaton, state: int) -> bool:
-    return all(s not in c.accepting for s in _reachable(c.transitions, c.alphabet, state))
-
-
-def _eligible(c: ClassicalAutomaton, state: int) -> bool:
-    return not is_all_accepting(c, state) and not is_all_rejecting(c, state)
+    A state is all-accepting when no word takes it to a non-accepting state,
+    so one backward search from the non-accepting states, and one from the
+    accepting states, classify every state in O(n·|Σ|).  The forbidden
+    constructions need states in neither set.
+    """
+    entering = [[] for _ in c.states]
+    for (s, _), t in c.transitions.items():
+        entering[t].append(s)
+    fates = []
+    for targets in (set(range(c.n_states)) - c.accepting, c.accepting):
+        seen = set(targets)  # the states some word takes into targets
+        frontier = list(seen)
+        while frontier:
+            for s in entering[frontier.pop()]:
+                if s not in seen:
+                    seen.add(s)
+                    frontier.append(s)
+        fates.append(set(range(c.n_states)) - seen)
+    return fates
 
 
 def _shortest_pair_word(t1: dict, t2: dict, alphabet, start: tuple, goal):
@@ -232,11 +243,11 @@ def find_forbidden_construction(c: ClassicalAutomaton):
     """
     _require_plain(c, "find_forbidden_construction")
     n = c.n_states
-    eligible = [_eligible(c, s) for s in range(n)]
+    eligible = set(range(n)).difference(*_fates(c))
     merge = _merge_table(c)
     for q1 in range(n):
         for q2 in range(n):
-            if q1 != q2 and eligible[q2] and merge[q1][q2]:
+            if q1 != q2 and q2 in eligible and merge[q1][q2]:
                 x = _shortest_pair_word(
                     c.transitions, c.transitions, c.alphabet, (q1, q2),
                     lambda pair: pair == (q2, q2),
@@ -250,7 +261,7 @@ def transition_monoid(c: ClassicalAutomaton, cap: int = DEFAULT_MONOID_CAP):
 
     Enumerated by BFS over composition with the generator symbols, so each
     witness is shortest and lexicographically least among shortest.  Raises
-    CapacityError when the monoid exceeds ``cap`` elements.
+    CapacityError exactly when the monoid has more than ``cap`` elements.
     """
     _require_plain(c, "transition_monoid")
     n = c.n_states
@@ -259,13 +270,14 @@ def transition_monoid(c: ClassicalAutomaton, cap: int = DEFAULT_MONOID_CAP):
     elements = {identity: ()}
     queue = deque([identity])
     while queue:
+        # an element past the cap is still queued, so this check sees it
+        if len(elements) > cap:
+            raise CapacityError(f"transition monoid exceeds cap of {cap} elements")
         mapping = queue.popleft()
         word = elements[mapping]
         for a, image in zip(c.alphabet, images):
             nxt = tuple([image[x] for x in mapping])
             if nxt not in elements:
-                if len(elements) >= cap:
-                    raise CapacityError(f"transition monoid exceeds cap of {cap} elements")
                 elements[nxt] = word + (a,)
                 queue.append(nxt)
     return [MonoidElement(mapping=m, word=w) for m, w in elements.items()]
@@ -286,11 +298,11 @@ def find_prfa_forbidden_construction(c: ClassicalAutomaton, cap: int = DEFAULT_M
     """
     _require_plain(c, "find_prfa_forbidden_construction")
     n = c.n_states
-    eligible = [_eligible(c, s) for s in range(n)]
+    eligible = set(range(n)).difference(*_fates(c))
     elements = transition_monoid(c, cap)
     merge = _merge_table(c)
     targets = [
-        [q2 for q2 in range(n) if q2 != q1 and eligible[q2] and merge[q1][q2]] if eligible[q1] else []
+        [q2 for q2 in eligible if q2 != q1 and merge[q1][q2]] if q1 in eligible else []
         for q1 in range(n)
     ]
     sources = [q1 for q1 in range(n) if targets[q1]]
@@ -328,11 +340,12 @@ def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
     """Replay a witness's words on the automaton and re-check its conditions."""
     q1 = c.state_index(w.q1)
     q2 = c.state_index(w.q2)
-    if q1 == q2 or not _eligible(c, q2):
+    eligible = set(range(c.n_states)).difference(*_fates(c))
+    if q1 == q2 or q2 not in eligible:
         return False
     if w.y is None:
         return _step_word(c, q1, w.x) == q2 and _step_word(c, q2, w.x) == q2
-    if not _eligible(c, q1):
+    if q1 not in eligible:
         return False
     if _step_word(c, q1, w.x) != q1:
         return False
@@ -365,36 +378,18 @@ def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
             "minimal automaton contains the forbidden construction; no reversible equivalent exists"
         )
 
+    halt_accept, halt_reject = _fates(c)
     names = list(c.states)
-    accepting = set(c.accepting)
-    transitions = dict(c.transitions)
-    start = c.start
-
+    origin = list(range(c.n_states))  # the state of c that each state copies
     # states whose every continuation is accepted (or rejected) halt immediately
-    halt_accept = set()
-    halt_reject = set()
-    for s in range(len(names)):
-        if is_all_accepting(c, s):
-            halt_accept.add(s)
-        elif is_all_rejecting(c, s):
-            halt_reject.add(s)
-    for s in halt_accept | halt_reject:
-        for a in c.alphabet:
-            transitions.pop((s, a), None)
+    halting = halt_accept | halt_reject
+    transitions = {key: t for key, t in c.transitions.items() if key[0] not in halting}
+    start = c.start
 
     # duplicated originals lose every edge and are renumbered away at the end
     retired = set()
     while True:
-        preds = {}
-        for (s, a), t in transitions.items():
-            preds.setdefault((t, a), []).append(s)
-        # (q1, q2, q, a): q1 and q2 both enter q on a, with q1 first by name
-        tuples = [
-            (q1, q2, q, a)
-            for (q, a), entering in preds.items()
-            for q1, q2 in itertools.combinations(sorted(entering, key=names.__getitem__), 2)
-        ]
-        del preds  # held through the round, it raises peak memory by ~13% on block_dfa(10)
+        tuples = non_reversibilities(transitions, key=names.__getitem__)
         if not tuples:
             break
         if len(names) - len(retired) > MAX_REVERSIBILIZED_STATES:
@@ -419,12 +414,9 @@ def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
         copy_index = {}
         for copy in (0, 1):
             for s in region:
-                idx = len(names)
+                copy_index[(s, copy)] = len(names)
                 names.append(f"{names[s]}#{copy}")
-                copy_index[(s, copy)] = idx
-                for group in (accepting, halt_accept, halt_reject):
-                    if s in group:
-                        group.add(idx)
+                origin.append(origin[s])
         # edges inside the region stay within each copy
         for s in region:
             for sym in c.alphabet:
@@ -443,40 +435,36 @@ def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
                 transitions[(s, sym)] = copy_index[(t, 0)]
         if start in region_set:
             start = copy_index[(start, 0)]
-        for group in (accepting, halt_accept, halt_reject):
-            group -= region_set
         retired |= region_set
 
     # drop the retired originals; copies were appended in order, so this is
     # the numbering a compaction after every round would give
-    remap = {old: new for new, old in enumerate(s for s in range(len(names)) if s not in retired)}
-    names = [names[s] for s in remap]
+    keep = [s for s in range(len(names)) if s not in retired]
     del retired  # not needed past here; freed before the reversibility check peaks
+    remap = {old: new for new, old in enumerate(keep)}
+    names = [names[s] for s in keep]
+    origin = [origin[s] for s in keep]
     transitions = {(remap[s], sym): remap[t] for (s, sym), t in transitions.items()}
-    accepting, halt_accept, halt_reject = (
-        {remap[s] for s in group} for group in (accepting, halt_accept, halt_reject)
-    )
     start = remap[start]
 
     # halt-on-enter form: identity left endmarker, per-state halting sinks
-    live = [s for s in range(len(names)) if s not in halt_accept and s not in halt_reject]
-    for s in live:
+    accepting = {s for s, o in enumerate(origin) if o in halt_accept}
+    rejecting = {s for s, o in enumerate(origin) if o in halt_reject}
+    for s, o in enumerate(origin):
+        if o in halting:
+            continue
+        verdict, group = ("acc", accepting) if o in c.accepting else ("rej", rejecting)
+        group.add(len(names))
         transitions[(s, LEFT_END)] = s
-        idx = len(names)
-        if s in accepting:
-            names.append(f"acc({names[s]})")
-            halt_accept.add(idx)
-        else:
-            names.append(f"rej({names[s]})")
-            halt_reject.add(idx)
-        transitions[(s, RIGHT_END)] = idx
+        transitions[(s, RIGHT_END)] = len(names)
+        names.append(f"{verdict}({names[s]})")
 
     out = ClassicalAutomaton(
         states=tuple(names),
         alphabet=tuple(c.alphabet),
         start=start,
-        accepting=frozenset(halt_accept),
-        rejecting=frozenset(halt_reject),
+        accepting=frozenset(accepting),
+        rejecting=frozenset(rejecting),
         transitions=transitions,
         halting_mode=HALT_ON_ENTER,
     )
@@ -487,39 +475,23 @@ def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
 
 
 def to_plain_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
-    """Unfold a halt-on-enter automaton into an equivalent plain DFA."""
+    """Unfold a halt-on-enter automaton into an equivalent plain DFA on its states.
+
+    A halting state keeps its verdict by looping on every letter, a live
+    state accepts when its right-endmarker move enters an accepting state,
+    and a live start state takes its left-endmarker move first.
+    """
     if c.halting_mode == END_OF_WORD:
         return c
-    n = c.n_states
-    acc_sink = n
-    rej_sink = n + 1
-    names = tuple(c.states) + ("(accepted)", "(rejected)")
-    transitions = {}
-    accepting = set()
-    start = c.start
-    if start not in c.halting:
-        start = c.transitions[(start, LEFT_END)]
-    for s in range(n + 2):
-        if s == acc_sink or s in c.accepting:
-            accepting.add(s)
-    for s in range(n + 2):
-        for a in c.alphabet:
-            if s == acc_sink or (s < n and s in c.accepting):
-                transitions[(s, a)] = acc_sink
-            elif s == rej_sink or (s < n and s in c.rejecting):
-                transitions[(s, a)] = rej_sink
-            else:
-                transitions[(s, a)] = c.transitions[(s, a)]
-    # a live state is accepting iff its right-endmarker move lands on accept
-    for s in range(n):
-        if s in c.halting:
-            continue
-        if c.transitions[(s, RIGHT_END)] in c.accepting:
-            accepting.add(s)
+    transitions = {(s, a): s for s in c.halting for a in c.alphabet}
+    transitions.update((key, t) for key, t in c.transitions.items() if key[1] in c.alphabet)
+    accepting = c.accepting | {
+        s for (s, sym), t in c.transitions.items() if sym == RIGHT_END and t in c.accepting
+    }
     return ClassicalAutomaton(
-        states=names,
+        states=tuple(c.states),
         alphabet=tuple(c.alphabet),
-        start=start,
+        start=c.start if c.start in c.halting else c.transitions[(c.start, LEFT_END)],
         accepting=frozenset(accepting),
         transitions=transitions,
         halting_mode=END_OF_WORD,

@@ -12,6 +12,7 @@ construction and all operations here are pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -382,24 +383,32 @@ def validate_prfa(p: ProbabilisticAutomaton) -> list:
     return problems
 
 
+def non_reversibilities(transitions: dict, key=None) -> list:
+    """Every (q1, q2, q, a) where distinct states q1 and q2 both enter q on a.
+
+    The tuples come in (q, a) order; within one (q, a) the entering states
+    are ordered by ``key`` (by index when None) and q1 comes first.
+    """
+    entering = {}
+    for (s, a), t in transitions.items():
+        entering.setdefault((t, a), []).append(s)
+    return [
+        (q1, q2, q, a)
+        for (q, a), sources in sorted(kv for kv in entering.items() if len(kv[1]) > 1)
+        for q1, q2 in itertools.combinations(sorted(sources, key=key), 2)
+    ]
+
+
 def is_reversible(c: ClassicalAutomaton):
     """Check that every (state, symbol) has at most one predecessor.
 
     Returns (flag, tuples); each tuple is (q1, q2, q, a) naming two distinct
     states that both move to q on a.
     """
-    predecessors = {}
-    for (s, a), t in c.transitions.items():
-        predecessors.setdefault((t, a), []).append(s)
-    tuples = []
-    for (t, a), sources in sorted(predecessors.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        sources = sorted(sources)
-        if len(sources) > 1:
-            for i in range(len(sources)):
-                for j in range(i + 1, len(sources)):
-                    tuples.append(
-                        (c.states[sources[i]], c.states[sources[j]], c.states[t], a)
-                    )
+    tuples = [
+        (c.states[q1], c.states[q2], c.states[q], a)
+        for q1, q2, q, a in non_reversibilities(c.transitions)
+    ]
     return (not tuples), tuples
 
 

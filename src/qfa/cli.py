@@ -137,19 +137,10 @@ def cmd_analyze(args) -> int:
         "reversible": reversible,
     }
     lines = [f"minimal states: {minimal.n_states}"]
-    if single is None:
-        lines.append("forbidden construction: absent")
-    else:
-        lines.append(
-            f"forbidden construction: q1={single.q1} q2={single.q2} x={''.join(single.x)!r}"
-        )
-    if double is None:
-        lines.append("prfa forbidden construction: absent")
-    else:
-        lines.append(
-            "prfa forbidden construction: "
-            f"q1={double.q1} q2={double.q2} x={''.join(double.x)!r} y={''.join(double.y)!r}"
-        )
+    for key in ("forbidden_construction", "prfa_forbidden_construction"):
+        w = payload[key] or {}  # states bare, words quoted: q1=m0 q2=m1 x='a' y='b'
+        text = " ".join(f"{k}={v!r}" if k in ("x", "y") else f"{k}={v}" for k, v in w.items())
+        lines.append(f"{key.replace('_', ' ')}: {text or 'absent'}")
     lines.append(f"reversible: {'yes' if reversible else 'no'}")
     if not reversible and not args.json:
         q1, q2, q, a = tuples[0]

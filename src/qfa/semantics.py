@@ -208,23 +208,18 @@ def sample_prfa(p: ProbabilisticAutomaton, word, n_samples: int, seed: int = 0):
 def run_dfa(c: ClassicalAutomaton, word) -> bool:
     """End-of-word acceptance in plain mode, halt-on-enter in RFA mode.
 
-    A halt-on-enter run that never reaches a halting state counts as not
-    accepted.
+    One loop serves both: a plain DFA reads the word and has no halting
+    states, while an RFA reads ^ word $ and stops on entering a halting
+    state.  An RFA run that never halts ends on a live state, which is not
+    accepting, so it counts as not accepted.
     """
     stream = _working_stream(c, word)
+    if c.halting_mode != HALT_ON_ENTER:
+        stream = stream[1:-1]
+    halting = c.halting
     state = c.start
-    if c.halting_mode == HALT_ON_ENTER:
-        if state in c.accepting:
-            return True
-        if state in c.rejecting:
-            return False
-        for sym in stream:
-            state = c.transitions[(state, sym)]
-            if state in c.accepting:
-                return True
-            if state in c.rejecting:
-                return False
-        return False
-    for sym in word:
+    for sym in stream:
+        if state in halting:
+            break
         state = c.transitions[(state, sym)]
     return state in c.accepting

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 from collections import deque
@@ -47,14 +49,24 @@ def reachable(c, state):
     return seen
 
 
+def fate(c, q):
+    """Oracle: "acc" or "rej" when every state reachable from q agrees on it, else None."""
+    verdicts = {s in c.accepting for s in reachable(c, q)}
+    if verdicts == {True}:
+        return "acc"
+    if verdicts == {False}:
+        return "rej"
+    return None
+
+
+def eligible_states(c):
+    """Oracle: per state, whether it is neither all-accepting nor all-rejecting."""
+    return [fate(c, q) is None for q in range(c.n_states)]
+
+
 def brute_force_forbidden(c, max_len):
     """Oracle: try every word up to max_len as the connecting word."""
-    eligible = []
-    for q in range(c.n_states):
-        reach = reachable(c, q)
-        all_acc = all(s in c.accepting for s in reach)
-        all_rej = all(s not in c.accepting for s in reach)
-        eligible.append(not all_acc and not all_rej)
+    eligible = eligible_states(c)
     for q1 in range(c.n_states):
         for q2 in range(c.n_states):
             if q1 == q2 or not eligible[q2]:
@@ -112,7 +124,7 @@ def per_pair_forbidden(c):
     table, O(n^4·|Σ|).
     """
     n = c.n_states
-    eligible = [analysis._eligible(c, s) for s in range(n)]
+    eligible = eligible_states(c)
     for q1 in range(n):
         for q2 in range(n):
             if q1 == q2 or not eligible[q2]:
@@ -157,9 +169,9 @@ def reference_reversibilize(c: ClassicalAutomaton, max_states: int = 1000000) ->
     halt_accept = set()
     halt_reject = set()
     for s in range(len(names)):
-        if analysis.is_all_accepting(c, s):
+        if fate(c, s) == "acc":
             halt_accept.add(s)
-        elif analysis.is_all_rejecting(c, s):
+        elif fate(c, s) == "rej":
             halt_reject.add(s)
     for s in halt_accept | halt_reject:
         for a in c.alphabet:
@@ -288,7 +300,7 @@ def quadratic_prfa_forbidden(c, cap=analysis.DEFAULT_MONOID_CAP):
     merge table.
     """
     n = c.n_states
-    eligible = [analysis._eligible(c, s) for s in range(n)]
+    eligible = eligible_states(c)
     elements = transition_monoid(c, cap)
     elements.sort(key=lambda e: (len(e.word), e.word))
 
@@ -620,6 +632,11 @@ class TestTransitionMonoid:
     def test_cap(self):
         with pytest.raises(CapacityError):
             transition_monoid(block_dfa(3), cap=10)
+        # the identity alone is one element, so it is over a cap of 0
+        for cap in (0, -3):
+            with pytest.raises(CapacityError):
+                transition_monoid(sigma_star_dfa(), cap=cap)
+        assert len(transition_monoid(sigma_star_dfa(), cap=1)) == 1
 
 
 class TestReversibilize:
@@ -656,6 +673,26 @@ class TestReversibilize:
             itertools.product("xyz", repeat=k) for k in range(5)
         ):
             assert semantics.run_dfa(r, word) == semantics.run_dfa(block_dfa(1), word)
+
+
+# SHA-256 of the file ``serialize.save`` writes for reversibilize(minimize_dfa(block_dfa(m)))
+WRITTEN_RFA_SHA256 = {
+    1: "717d62e0698b0eccf88cfa84b2a7445365dea9f609e1b325fef60b8f31a31314",
+    2: "51e240754360885524b5611c1498fe66b5467bb0e922fa48bd2522cd7a773474",
+    3: "29878d169e79924d46c555154e5cd61be6e4c24ca71ab6bdb2b362fc03dd54b7",
+    4: "7a84e0f5268e5fd9f2a5b599bb8294515339e47a4e4c54c22bcaa20d686272fd",
+    5: "645f8b27f494318876105941b99b4441de2fb0b448890f8bff5f6a56b725fb9e",
+    6: "bceba9c62390252180edb9334310809d1c025514e6b1c7e70e9e10a4b129155b",
+    7: "e28d8bb054fac3457639cb66fca5216a492af8a63bc0d21ab41c1ff43a5f8ca3",
+    8: "4bb231a7ef5ca7ddfe5a09688a9c4a18485f8c2a3d1e618af8275ceb2cc0425a",
+}
+
+
+@pytest.mark.parametrize("m", sorted(WRITTEN_RFA_SHA256))
+def test_written_block_rfa_bytes_are_pinned(m, tmp_path):
+    path = tmp_path / "rfa.json"
+    serialize.save(reversibilize(minimize_dfa(block_dfa(m))), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN_RFA_SHA256[m]
 
 
 class TestReversibilizeBudget:
@@ -734,6 +771,36 @@ class TestDfaEquivalent:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             dfa_equivalent(astar_bstar_dfa(), parity_dfa())
+
+    def test_counterexamples_on_halt_on_enter_inputs(self):
+        """The word is the shortest, least in alphabet order, that the runs tell apart."""
+
+        def brute_force_counterexample(c1, c2):
+            for word in words_up_to(c1.alphabet, 6):
+                if semantics.run_dfa(c1, word) != semantics.run_dfa(c2, word):
+                    return word
+            return None
+
+        rfas = [random_halt_on_enter(seed) for seed in range(30)]
+        pairs = list(itertools.combinations(rfas, 2))
+        pairs += [(rfas[1], random_dfa(seed, "ab", 1, 6)) for seed in range(20)]
+        # one flipped halting verdict of a block-family RFA shows only on longer words
+        rfa = reversibilize(minimize_dfa(block_dfa(2)))
+        for s in sorted(rfa.halting):
+            flipped = dataclasses.replace(
+                rfa, accepting=rfa.accepting ^ {s}, rejecting=rfa.rejecting ^ {s}
+            )
+            pairs += [(rfa, flipped), (block_dfa(2), flipped)]
+        lengths = set()
+        for c1, c2 in pairs:
+            same, word = dfa_equivalent(c1, c2)
+            expected = brute_force_counterexample(c1, c2)
+            if expected is None:
+                assert same or len(word) > 6, (c1, c2, word)
+            else:
+                assert (same, word) == (False, expected), (c1, c2)
+                lengths.add(len(word))
+        assert lengths >= {0, 1, 2, 3, 4, 5}
 
     def test_unfolds_halting_automata(self):
         r = reversibilize(minimize_dfa(block_dfa(2)))

@@ -10,7 +10,7 @@ import qfa
 from qfa import linalg, serialize
 from qfa.automata import ClassicalAutomaton
 from qfa.cli import main
-from qfa.constructions import astar_bstar_dfa, astar_dfa, example_qfa, modp_qfa
+from qfa.constructions import astar_bstar_dfa, astar_dfa, example_qfa, modp_qfa, sigma_star_dfa
 from qfa.semantics import run_measure_many
 
 
@@ -83,6 +83,11 @@ class TestAnalyze:
         path = tmp_path / "ab.json"
         serialize.save(astar_bstar_dfa(), str(path))
         assert main(["analyze", str(path), "--monoid-cap", "2"]) == 3
+        # a one-element monoid is over a cap of 0
+        path = tmp_path / "sigma.json"
+        serialize.save(sigma_star_dfa(), str(path))
+        assert main(["analyze", str(path), "--monoid-cap", "0"]) == 3
+        assert main(["analyze", str(path), "--monoid-cap", "1"]) == 0
 
     def test_monoid_cap_holds_without_witness(self, tmp_path, capsys):
         # S_6 on a transposition and a 6-cycle: 720 elements and no witness
