@@ -7,12 +7,11 @@ from .automata import (
     RunOutcome,
     is_reversible,
     make_qfa,
-    non_halting_state_count,
     prfa_to_qfa,
     rfa_to_prfa,
     validate,
 )
-from .linalg import OutcomeDistribution, complete_unitary, is_unitary, tv_distance
+from .linalg import complete_unitary, tv_distance
 from .semantics import (
     ScanReport,
     run_dfa,
@@ -35,7 +34,6 @@ from .analysis import (
 __all__ = [
     "ClassicalAutomaton",
     "ConstructionWitness",
-    "OutcomeDistribution",
     "ProbabilisticAutomaton",
     "QuantumAutomaton",
     "RunOutcome",
@@ -45,10 +43,8 @@ __all__ = [
     "find_forbidden_construction",
     "find_prfa_forbidden_construction",
     "is_reversible",
-    "is_unitary",
     "make_qfa",
     "minimize_dfa",
-    "non_halting_state_count",
     "prfa_to_qfa",
     "reversibilize",
     "rfa_to_prfa",

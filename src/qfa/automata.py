@@ -198,15 +198,20 @@ class ProbabilisticAutomaton:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Accept/reject/never-halt probabilities with the per-step halting trace."""
+    """Accept/reject/never-halt probabilities of one run.
+
+    ``trace`` holds the cumulative (p_acc, p_rej) after each symbol for the
+    runners that observe step by step; it is empty for a measure-once run and
+    for each scan of a multi-scan run.
+    """
 
     p_acc: float
     p_rej: float
     p_non: float
-    trace: tuple
+    trace: tuple = ()
 
-    def distribution(self) -> linalg.OutcomeDistribution:
-        return linalg.OutcomeDistribution(self.p_acc, self.p_rej, self.p_non)
+    def as_tuple(self):
+        return (self.p_acc, self.p_rej, self.p_non)
 
 
 def make_qfa(
@@ -459,7 +464,3 @@ def prfa_to_qfa(p: ProbabilisticAutomaton) -> QuantumAutomaton:
     return make_qfa(
         p.states, p.alphabet, p.accepting, p.rejecting, amplitudes(p.initial_distribution), rows
     )
-
-
-def non_halting_state_count(q: QuantumAutomaton) -> int:
-    return len(q.non_halting)

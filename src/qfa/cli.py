@@ -19,8 +19,6 @@ from .automata import (
     ClassicalAutomaton,
     ProbabilisticAutomaton,
     QuantumAutomaton,
-    RunOutcome,
-    non_halting_state_count,
     prfa_to_qfa,
     validate,
     validate_classical,
@@ -94,7 +92,7 @@ def cmd_run(args) -> int:
         out = scans[-1]
         payload["scans"] = [{"p_acc": d.p_acc, "p_rej": d.p_rej, "p_non": d.p_non} for d in scans]
         rows = [("scan", d.p_acc, d.p_rej) for d in scans]
-    if isinstance(out, RunOutcome):
+    if out.trace:
         rows = [("step", a, r) for a, r in out.trace]
         if args.trace:
             payload["trace"] = [{"p_acc": a, "p_rej": r} for a, r in out.trace]
@@ -206,7 +204,7 @@ def _build_modp(args):
     auto = constructions.modp_qfa(args.p, args.seed)
     return auto, {
         "blocks": constructions.good_sequence_length(args.p),
-        "non_halting_states": non_halting_state_count(auto),
+        "non_halting_states": len(auto.non_halting),
     }
 
 
@@ -216,7 +214,7 @@ def _build_modp_amplified(args):
     return auto, {
         "blocks": constructions.good_sequence_length(args.p),
         "tensor_power": constructions.choose_amplification(args.p, epsilon / 3.0),
-        "non_halting_states": non_halting_state_count(auto),
+        "non_halting_states": len(auto.non_halting),
     }
 
 
@@ -248,7 +246,7 @@ def _build_equality(args):
         "prime": prime,
         "blocks": sequence.length,
         "tensor_power": d,
-        "non_halting_states": non_halting_state_count(auto),
+        "non_halting_states": len(auto.non_halting),
     }
 
 
@@ -375,13 +373,8 @@ def cmd_dist(args) -> int:
     auto = _load(args.file, args.tolerance)
     if not isinstance(auto, QuantumAutomaton):
         raise CliError("dist expects a qfa file")
-    if args.mode == "once":
-        d1 = semantics.run_measure_once(auto, tuple(args.word1))
-        d2 = semantics.run_measure_once(auto, tuple(args.word2))
-    else:
-        d1 = semantics.run_measure_many(auto, tuple(args.word1)).distribution()
-        d2 = semantics.run_measure_many(auto, tuple(args.word2)).distribution()
-    dist = tv_distance(d1, d2)
+    run = semantics.run_measure_once if args.mode == "once" else semantics.run_measure_many
+    dist = tv_distance(run(auto, tuple(args.word1)), run(auto, tuple(args.word2)))
     _emit(args, {"tv_distance": dist}, [f"tv_distance={_fmt(dist)}"])
     return EXIT_OK
 

@@ -164,16 +164,6 @@ def rotation_automaton(p: int, k: int) -> QuantumAutomaton:
     )
 
 
-def is_good_coefficient(p: int, k: int, j: int) -> bool:
-    """True iff the k-rotation rejects a^j with probability at least 1/2."""
-    _require_prime(p)
-    if not 1 <= k <= p - 1:
-        raise ValueError(f"k must be in 1..{p - 1}, got {k}")
-    if j % p == 0:
-        raise ValueError("j must not be divisible by p")
-    return math.cos(2.0 * math.pi * j * k / p) ** 2 <= 0.5
-
-
 @dataclass(frozen=True)
 class GoodSequence:
     """Coefficients such that every non-multiple length has many good ones."""
@@ -184,14 +174,6 @@ class GoodSequence:
     @property
     def length(self) -> int:
         return len(self.coefficients)
-
-    def min_good_fraction(self) -> float:
-        """Worst case over j of the fraction of coefficients good for a^j."""
-        worst = 1.0
-        for j in range(1, self.p):
-            good = sum(1 for k in self.coefficients if is_good_coefficient(self.p, k, j))
-            worst = min(worst, good / self.length)
-        return worst
 
 
 def good_sequence_length(p: int) -> int:
@@ -587,7 +569,7 @@ def parity_prfa_trio():
 
 
 # ---------------------------------------------------------------------------
-# Small reference DFAs used by the analysis examples
+# The DFA of the paper's example language a*b*
 # ---------------------------------------------------------------------------
 
 
@@ -606,47 +588,6 @@ def astar_bstar_dfa() -> ClassicalAutomaton:
             (2, "a"): 2,
             (2, "b"): 2,
         },
-        halting_mode=END_OF_WORD,
-    )
-
-
-def astar_dfa() -> ClassicalAutomaton:
-    """Minimal two-state DFA for a* over {a, b}."""
-    return ClassicalAutomaton(
-        states=("live", "dead"),
-        alphabet=("a", "b"),
-        start=0,
-        accepting=frozenset({0}),
-        transitions={
-            (0, "a"): 0,
-            (0, "b"): 1,
-            (1, "a"): 1,
-            (1, "b"): 1,
-        },
-        halting_mode=END_OF_WORD,
-    )
-
-
-def sigma_star_dfa() -> ClassicalAutomaton:
-    """Single accepting state looping on both letters."""
-    return ClassicalAutomaton(
-        states=("all",),
-        alphabet=("a", "b"),
-        start=0,
-        accepting=frozenset({0}),
-        transitions={(0, "a"): 0, (0, "b"): 0},
-        halting_mode=END_OF_WORD,
-    )
-
-
-def parity_dfa() -> ClassicalAutomaton:
-    """Two-state DFA accepting words with an odd number of a's."""
-    return ClassicalAutomaton(
-        states=("even", "odd"),
-        alphabet=("a",),
-        start=0,
-        accepting=frozenset({1}),
-        transitions={(0, "a"): 1, (1, "a"): 0},
         halting_mode=END_OF_WORD,
     )
 

@@ -14,8 +14,6 @@ run only through ``lower``, which turns an operator into a vector function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -30,18 +28,6 @@ class NotCompletableError(ValueError):
 
 class CapacityError(RuntimeError):
     """A configurable size cap was exceeded."""
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Accept/reject/non-halt probability triple of one observation."""
-
-    p_acc: float
-    p_rej: float
-    p_non: float
-
-    def as_tuple(self):
-        return (self.p_acc, self.p_rej, self.p_non)
 
 
 def as_state_vector(values) -> np.ndarray:
@@ -60,11 +46,6 @@ def as_matrix(values) -> np.ndarray:
 
 def norm_squared(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
-
-
-def apply(m, v: np.ndarray) -> np.ndarray:
-    """Apply a transition matrix (or structured operator) to a state vector once."""
-    return lower(m, v.shape[0])(v)
 
 
 def lower(m, dim: int):
@@ -96,11 +77,6 @@ def to_dense(m) -> np.ndarray:
     if isinstance(m, np.ndarray):
         return m
     return m.dense()
-
-
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the max-norm deviation of m^H m from the identity is <= tol."""
-    return unitarity_defect(m) <= tol
 
 
 def unitarity_defect(m) -> float:
@@ -168,8 +144,9 @@ def complete_unitary(partial, specified_rows) -> np.ndarray:
     return out
 
 
-def tv_distance(d1: OutcomeDistribution, d2: OutcomeDistribution) -> float:
-    """Variational distance: sum of absolute coordinate differences, range [0, 2]."""
+def tv_distance(d1, d2) -> float:
+    """Variational distance of two run outcomes (anything with ``p_acc``,
+    ``p_rej`` and ``p_non``): sum of absolute differences, range [0, 2]."""
     return (
         abs(d1.p_acc - d2.p_acc)
         + abs(d1.p_rej - d2.p_rej)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .automata import (
     HALT_ON_ENTER,
@@ -34,8 +32,7 @@ from .automata import (
 class ScanReport:
     """Cumulative outcome after each full scan of the tape."""
 
-    per_scan: tuple  # OutcomeDistribution after 1, 2, ... scans
-    scans_executed: int
+    per_scan: tuple  # RunOutcome after 1, 2, ... scans
 
 
 def _working_stream(q, word):
@@ -96,15 +93,13 @@ def run_prefixes(q: QuantumAutomaton, word) -> list:
     return outcomes
 
 
-def run_measure_once(q: QuantumAutomaton, word) -> linalg.OutcomeDistribution:
+def run_measure_once(q: QuantumAutomaton, word) -> RunOutcome:
     """Apply all unitaries without intermediate observation, then measure once."""
     plan = q.plan
     psi = q.initial
     for sym in _working_stream(q, word):
         psi = plan.apply[sym](psi)
-    return linalg.OutcomeDistribution(
-        *(linalg.norm_squared(psi[idx]) for idx in (plan.acc, plan.rej, plan.non))
-    )
+    return RunOutcome(*(linalg.norm_squared(psi[idx]) for idx in (plan.acc, plan.rej, plan.non)))
 
 
 def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
@@ -121,8 +116,8 @@ def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
     scans = itertools.chain.from_iterable(itertools.repeat(stream, max_scans))
     for i, (p_acc, p_rej, psi) in enumerate(_measure_many(q, scans), start=1):
         if i % len(stream) == 0:
-            reports.append(linalg.OutcomeDistribution(p_acc, p_rej, linalg.norm_squared(psi)))
-    return ScanReport(per_scan=tuple(reports), scans_executed=max_scans)
+            reports.append(RunOutcome(p_acc, p_rej, linalg.norm_squared(psi)))
+    return ScanReport(per_scan=tuple(reports))
 
 
 def run_prfa(p: ProbabilisticAutomaton, word) -> RunOutcome:
@@ -165,44 +160,6 @@ def run_prfa(p: ProbabilisticAutomaton, word) -> RunOutcome:
                 dist[t] = mass
         trace.append((p_acc, p_rej))
     return RunOutcome(p_acc=p_acc, p_rej=p_rej, p_non=sum(dist.values()), trace=tuple(trace))
-
-
-def sample_prfa(p: ProbabilisticAutomaton, word, n_samples: int, seed: int = 0):
-    """Monte-Carlo frequencies of a PRFA run (sanity companion to run_prfa)."""
-    stream = _working_stream(p, word)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-
-    def pick(edges, u):
-        acc = 0.0
-        for t, prob in edges:
-            acc += prob
-            if u < acc:
-                return t
-        return edges[-1][0]
-
-    counts = {"acc": 0, "rej": 0, "non": 0}
-    rows = p.rows
-    init = tuple(p.initial_distribution)
-    for _ in range(n_samples):
-        state = pick(init, rng.random())
-        verdict = None
-        if state in p.accepting:
-            verdict = "acc"
-        elif state in p.rejecting:
-            verdict = "rej"
-        else:
-            for sym in stream:
-                state = pick(rows[(state, sym)], rng.random())
-                if state in p.accepting:
-                    verdict = "acc"
-                    break
-                if state in p.rejecting:
-                    verdict = "rej"
-                    break
-        counts[verdict or "non"] += 1
-    return {k: v / n_samples for k, v in counts.items()}
 
 
 def run_dfa(c: ClassicalAutomaton, word) -> bool:

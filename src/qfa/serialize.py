@@ -18,6 +18,8 @@ from . import linalg
 from .automata import (
     END_OF_WORD,
     HALT_ON_ENTER,
+    LEFT_END,
+    RIGHT_END,
     ClassicalAutomaton,
     ProbabilisticAutomaton,
     QuantumAutomaton,
@@ -48,6 +50,25 @@ def _list(doc: dict, key: str) -> list:
     if not isinstance(value, list):
         raise FileFormatError(f"{key} must be a list, got {value!r}")
     return value
+
+
+def _alphabet(doc: dict) -> list:
+    alphabet = _list(doc, "alphabet")
+    for end in (LEFT_END, RIGHT_END):
+        if end in alphabet:
+            raise FileFormatError(f"alphabet must not contain the endmarker {end!r}")
+    return alphabet
+
+
+def _number(value, what: str) -> float:
+    """A real-valued field as a float: a JSON int or float, never a boolean.
+    NaN passes, so that validation reports it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FileFormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise FileFormatError(f"{what} is out of range") from None
 
 
 def _field(doc: dict, key: str, json_type: type):
@@ -85,7 +106,7 @@ def _amp_out(z: complex):
 def _amp_in(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise FileFormatError(f"amplitude must be a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_number(pair[0], "amplitude part"), _number(pair[1], "amplitude part"))
 
 
 def _vector_out(v: np.ndarray):
@@ -136,7 +157,7 @@ def _operator_in(obj, state_index=None):
     if kind == "identity":
         return linalg.IdentityOp(_field(obj, "dim", int))
     if kind == "tensor-power":
-        base = _operator_in(_field(obj, "base", object))
+        base = _operator_in(_field(obj, "base", list))
         return linalg.TensorPowerOp(base, _field(obj, "copies", int))
     if kind == "permutation":
         return linalg.PermutationOp(_field(obj, "dest", list))
@@ -168,7 +189,7 @@ def qfa_from_dict(doc: dict) -> QuantumAutomaton:
     index = _state_index(doc)
     return make_qfa(
         states=doc["states"],
-        alphabet=_list(doc, "alphabet"),
+        alphabet=_alphabet(doc),
         accepting=[_lookup(index, s, "accepting") for s in _list(doc, "accepting")],
         rejecting=[_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")],
         initial=_vector_in(doc["initial"], "initial"),
@@ -211,7 +232,7 @@ def classical_from_dict(doc: dict) -> ClassicalAutomaton:
         raise FileFormatError(f"unknown halting mode {mode!r}")
     return ClassicalAutomaton(
         states=tuple(doc["states"]),
-        alphabet=tuple(_list(doc, "alphabet")),
+        alphabet=tuple(_alphabet(doc)),
         start=_lookup(index, doc["start"], "start"),
         accepting=frozenset(_lookup(index, s, "accepting") for s in _list(doc, "accepting")),
         rejecting=frozenset(_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")),
@@ -250,7 +271,7 @@ def prfa_from_dict(doc: dict) -> ProbabilisticAutomaton:
             transitions[(s, sym)] = _weighted(index, edges, "a transition")
     return ProbabilisticAutomaton(
         states=tuple(doc["states"]),
-        alphabet=tuple(_list(doc, "alphabet")),
+        alphabet=tuple(_alphabet(doc)),
         initial_distribution=tuple(
             _weighted(index, _list(doc, "initial_distribution"), "initial_distribution")
         ),
@@ -265,7 +286,7 @@ def _weighted(index: dict, pairs, what: str) -> list:
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise FileFormatError(f"{what} entry must be a [state, probability] pair, got {pair!r}")
-        out.append((_lookup(index, pair[0], what), float(pair[1])))
+        out.append((_lookup(index, pair[0], what), _number(pair[1], f"{what} probability")))
     return out
 
 

@@ -27,7 +27,8 @@ import tempfile
 from qfa import serialize
 from qfa.automata import prfa_to_qfa
 from qfa.cli import main
-from qfa.constructions import astar_bstar_dfa, astar_dfa, parity_dfa, random_prfa
+from qfa.constructions import astar_bstar_dfa, random_prfa
+from tests_support import astar_dfa, parity_dfa
 
 EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_transcript.json")
 JSON_FLOAT_TOL = 1e-15

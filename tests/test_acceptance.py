@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from tests_support import random_qfa
+from tests_support import astar_dfa, is_good_coefficient, random_qfa, sigma_star_dfa
 
 from qfa import linalg
 from qfa.analysis import (
@@ -24,25 +24,22 @@ from qfa.analysis import (
 )
 from qfa.automata import (
     ClassicalAutomaton,
+    RunOutcome,
     is_reversible,
-    non_halting_state_count,
     prfa_to_qfa,
 )
 from qfa.constructions import (
     astar_bstar_dfa,
     astar_bstar_qfa,
-    astar_dfa,
     block_dfa,
     equality_qfa,
     example_qfa,
     good_sequence_length,
-    is_good_coefficient,
     modp_qfa,
     modp_qfa_amplified,
     parity_prfa_trio,
     random_prfa,
     rotation_automaton,
-    sigma_star_dfa,
     solve_success_probability,
 )
 from qfa.semantics import run_measure_many, run_prfa
@@ -98,7 +95,7 @@ def test_criterion_3_rotation_closed_form():
                     abs(psi[0] - math.cos(angle)),
                     abs(psi[1] - 1j * math.sin(angle)),
                 )
-                psi = linalg.apply(q.unitaries["a"], psi)
+                psi = linalg.lower(q.unitaries["a"], len(psi))(psi)
     ok = worst <= 1e-12
     report(3, ok, f"max amplitude deviation from closed form {worst:.2e}")
 
@@ -118,7 +115,7 @@ def test_criterion_5_modp_base():
     worst_rej = min(run_measure_many(q31, "a" * j).p_rej for j in range(1, 31))
     counts = {}
     for p in (31, 59, 97):
-        counts[p] = non_halting_state_count(modp_qfa(p, seed=0))
+        counts[p] = len(modp_qfa(p, seed=0).non_halting)
     elapsed = time.time() - t0
     ok = (
         accept_dev <= 1e-9
@@ -293,10 +290,10 @@ def test_criterion_10_equality():
     worst_rej = min(
         run_measure_many(q, "a" * n).p_rej for n in range(0, 61) if n != 20
     )
-    count_n20 = non_halting_state_count(q)
+    count_n20 = len(q.non_halting)
     counts = []
     for n in (2**5, 2**8, 2**11):
-        counts.append(non_halting_state_count(equality_qfa(n, 0.5, 2 * n, seed=0)))
+        counts.append(len(equality_qfa(n, 0.5, 2 * n, seed=0).non_halting))
     monotone = counts[0] < counts[1] < counts[2]
     sublinear = (
         counts[0] / 2**5 > counts[1] / 2**8 > counts[2] / 2**11
@@ -322,7 +319,7 @@ def test_criterion_11_property_suites():
         u = qmat * (np.diag(r) / np.abs(np.diag(r)))
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         norm_drift = max(
-            norm_drift, abs(np.linalg.norm(linalg.apply(u, v)) - np.linalg.norm(v))
+            norm_drift, abs(np.linalg.norm(linalg.lower(u, len(v))(v)) - np.linalg.norm(v))
         )
 
     # probability conservation at every step of the measure-many runner
@@ -338,7 +335,7 @@ def test_criterion_11_property_suites():
     classes = ([0, 1], [2], [3, 4, 5])  # accepting, rejecting, non-halting
 
     def measure(v):
-        return linalg.OutcomeDistribution(*(linalg.norm_squared(v[idx]) for idx in classes))
+        return RunOutcome(*(linalg.norm_squared(v[idx]) for idx in classes))
 
     tv_ok = True
     for _ in range(10**4):

@@ -20,14 +20,9 @@ from qfa.analysis import (
 )
 from qfa.automata import HALT_ON_ENTER, LEFT_END, RIGHT_END, ClassicalAutomaton, is_reversible, validate_classical
 from qfa.cli import main
-from qfa.constructions import (
-    astar_bstar_dfa,
-    astar_dfa,
-    block_dfa,
-    parity_dfa,
-    sigma_star_dfa,
-)
+from qfa.constructions import astar_bstar_dfa, block_dfa
 from qfa.linalg import CapacityError
+from tests_support import astar_dfa, parity_dfa, sigma_star_dfa
 
 
 def step_word(c, state, word):

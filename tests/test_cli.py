@@ -10,8 +10,9 @@ import qfa
 from qfa import linalg, serialize
 from qfa.automata import ClassicalAutomaton
 from qfa.cli import main
-from qfa.constructions import astar_bstar_dfa, astar_dfa, example_qfa, modp_qfa, sigma_star_dfa
+from qfa.constructions import astar_bstar_dfa, example_qfa, modp_qfa
 from qfa.semantics import run_measure_many
+from tests_support import astar_dfa, sigma_star_dfa
 
 
 @pytest.fixture()
@@ -327,10 +328,16 @@ class TestMalformedFiles:
                 "axis must be an integer, got False",
             ),
             ({"op": "tensor-power", "base": [[[1.0, 0.0]]], "copies": True}, "copies must be an integer, got True"),
+            ([[[None, 0.0]]], "amplitude part must be a number, got None"),
+            (
+                {"op": "tensor-power", "base": {"op": "identity", "dim": 2}, "copies": 2},
+                "base must be a list, got {'op': 'identity', 'dim': 2}",
+            ),
         ],
         ids=[
             "no-dim", "no-copies", "blocks", "target", "row", "dest", "dim", "matrix-row",
-            "float-dest", "string-dest", "bool-dim", "bool-axis", "bool-copies",
+            "float-dest", "string-dest", "bool-dim", "bool-axis", "bool-copies", "matrix-entry",
+            "structured-base",
         ],
     )
     def test_malformed_operator_spec(self, tmp_path, capsys, spec, message):
@@ -362,6 +369,53 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "failed validation" in err and "to nan" in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("transitions", {"s": {"a": [["acc", None]]}}, "a transition probability must be a number, got None"),
+            ("initial_distribution", [["s", "1.0"]], "initial_distribution probability must be a number, got '1.0'"),
+            ("initial_distribution", [["s", True]], "initial_distribution probability must be a number, got True"),
+        ],
+        ids=["null-edge", "string-initial", "bool-initial"],
+    )
+    def test_prfa_probability_not_a_number(self, tmp_path, capsys, key, value, message):
+        assert self.run_on(tmp_path, dict(self.PRFA, **{key: value}), ["run", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([None, 0.0], "got None"),
+            ([[1], 0.0], "got [1]"),
+            (["0.5", 0.0], "got '0.5'"),
+            ([1.0, False], "got False"),
+            ([10**400, 0], "amplitude part is out of range"),
+            ([float("nan"), 0.0], "failed validation: initial vector has non-finite amplitudes"),
+        ],
+        ids=["null", "list", "string", "bool", "huge-int", "nan-loads"],
+    )
+    def test_initial_amplitude_not_a_number(self, tmp_path, capsys, example_file, entry, message):
+        doc = json.loads(open(example_file).read())
+        doc["initial"][0] = entry
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
+    @pytest.mark.parametrize("kind, end", [("qfa", "$"), ("dfa", "$"), ("dfa", "^"), ("prfa", "^")])
+    def test_endmarker_in_alphabet(self, tmp_path, capsys, example_file, kind, end):
+        if kind == "qfa":
+            doc = json.loads(open(example_file).read())
+            doc["alphabet"] = ["a", end]
+        else:
+            doc = dict(self.DFA if kind == "dfa" else self.PRFA, alphabet=["a", end])
+        assert self.run_on(tmp_path, doc, ["run", "a" + end]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"alphabet must not contain the endmarker {end!r}" in err
 
     def test_validation_failure_is_one_line(self, tmp_path, capsys):
         doc = {

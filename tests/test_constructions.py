@@ -19,7 +19,6 @@ from qfa.constructions import (
     find_amplified_sequence,
     find_good_sequence,
     good_sequence_length,
-    is_good_coefficient,
     is_prime,
     modp_qfa,
     modp_qfa_amplified,
@@ -29,6 +28,7 @@ from qfa.constructions import (
 )
 from qfa.linalg import CapacityError
 from qfa.semantics import run_dfa, run_measure_many, run_prefixes
+from tests_support import is_good_coefficient, min_good_fraction
 
 
 def in_block_language(word: str, m: int) -> bool:
@@ -110,7 +110,7 @@ class TestRotationAutomaton:
                     angle = 2 * math.pi * j * k / p
                     assert abs(psi[0] - math.cos(angle)) < 1e-12
                     assert abs(psi[1] - 1j * math.sin(angle)) < 1e-12
-                    psi = linalg.apply(q.unitaries["a"], psi)
+                    psi = linalg.lower(q.unitaries["a"], len(psi))(psi)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestGoodSequence:
 
     def test_reverifies(self):
         seq = find_good_sequence(31, seed=0)
-        assert seq.min_good_fraction() >= 0.25
+        assert min_good_fraction(seq) >= 0.25
 
     def test_seed_determinism(self):
         assert find_good_sequence(31, seed=3) == find_good_sequence(31, seed=3)
@@ -169,10 +169,8 @@ class TestModpQfa:
             assert run_measure_many(q, "a" * j).p_rej >= 1.0 / 8.0 - 1e-9
 
     def test_state_count(self):
-        from qfa.automata import non_halting_state_count
-
         q = modp_qfa(31, seed=0)
-        assert non_halting_state_count(q) == 1 + 2 * 28
+        assert len(q.non_halting) == 1 + 2 * 28
 
 
 class TestAmplifiedRotation:

@@ -32,11 +32,10 @@ from qfa.semantics import (
     run_multiscan,
     run_prefixes,
     run_prfa,
-    sample_prfa,
 )
 
 
-from tests_support import partial_row_prfa, random_qfa
+from tests_support import partial_row_prfa, random_qfa, sample_prfa
 
 
 class TestRunMeasureMany:
@@ -525,8 +524,8 @@ def conservation_cases():
 )
 def test_probability_is_conserved_by_every_runner(name, make, word):
     q = make()
-    outcomes = [run_measure_many(q, word).distribution().as_tuple()]
-    outcomes += [out.distribution().as_tuple() for out in run_prefixes(q, word)]
+    outcomes = [run_measure_many(q, word).as_tuple()]
+    outcomes += [out.as_tuple() for out in run_prefixes(q, word)]
     outcomes += [d.as_tuple() for d in run_multiscan(q, word, 2).per_scan]
     outcomes.append(run_measure_once(q, word).as_tuple())
     for p_acc, p_rej, p_non in outcomes:
