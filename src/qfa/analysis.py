@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 
+import numpy as np
+
 from .automata import (
     END_OF_WORD,
     HALT_ON_ENTER,
@@ -25,6 +27,8 @@ from .linalg import CapacityError
 
 DEFAULT_MONOID_CAP = 100000
 MAX_REVERSIBILIZED_STATES = 1000000
+# a state mapping packs into an int64 as n base-n digits while n**n < 2**63
+_PACKED_KEY_MAX_STATES = 15
 
 
 class NotReversibilizableError(ValueError):
@@ -177,6 +181,21 @@ def _fates(c: ClassicalAutomaton):
     return fates
 
 
+def _facts(c: ClassicalAutomaton):
+    """``(halt_accept, halt_reject, merge)`` of a plain DFA, computed once per automaton.
+
+    Both detectors and the precondition of ``reversibilize`` read the fates
+    pair and the merge table, so one automaton analyzed by all three builds
+    each once.  They are kept in the instance dictionary of the automaton,
+    which is immutable, as ``functools.cached_property`` keeps
+    ``ClassicalAutomaton.halting``.
+    """
+    facts = c.__dict__.get("_analysis_facts")
+    if facts is None:
+        facts = c.__dict__["_analysis_facts"] = (*_fates(c), _merge_table(c))
+    return facts
+
+
 def _shortest_pair_word(t1: dict, t2: dict, alphabet, start: tuple, goal):
     """Shortest word taking the state pair ``start`` to a pair that satisfies ``goal``.
 
@@ -243,8 +262,8 @@ def find_forbidden_construction(c: ClassicalAutomaton):
     """
     _require_plain(c, "find_forbidden_construction")
     n = c.n_states
-    eligible = set(range(n)).difference(*_fates(c))
-    merge = _merge_table(c)
+    halt_accept, halt_reject, merge = _facts(c)
+    eligible = set(range(n)) - halt_accept - halt_reject
     for q1 in range(n):
         for q2 in range(n):
             if q1 != q2 and q2 in eligible and merge[q1][q2]:
@@ -256,6 +275,69 @@ def find_forbidden_construction(c: ClassicalAutomaton):
     return None
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of an (F, n) array of state mappings.
+
+    Equal rows get equal keys and distinct rows distinct ones, and the keys
+    sort, so ``np.unique`` and ``np.searchsorted`` work on them.  A row is n
+    base-n digits of an int64 when that fits, and its raw bytes otherwise.
+    """
+    n = rows.shape[1]
+    if n <= _PACKED_KEY_MAX_STATES:
+        return rows @ n ** np.arange(n, dtype=np.int64)
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, n * rows.itemsize))).ravel()
+
+
+def _monoid(c: ClassicalAutomaton, cap: int):
+    """The transition monoid as arrays, enumerated one BFS level at a time.
+
+    Returns ``(elements, parent, letter, starts)``.  Row i of ``elements`` is
+    a state mapping; it was first reached by appending the letter
+    ``c.alphabet[letter[i]]`` to the word of row ``parent[i]`` (-1 for the
+    identity, row 0), and rows ``starts[k]:starts[k + 1]`` are the elements
+    whose shortest word has length k.  Rows come in the order of a BFS that
+    tries the letters in alphabet order, so each word is shortest and the
+    least in that order among the shortest.  Raises CapacityError exactly
+    when the monoid has more than ``cap`` elements.
+    """
+    n, k = c.n_states, len(c.alphabet)
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    images = np.array(
+        [[c.transitions[(s, a)] for s in range(n)] for a in c.alphabet], dtype=dtype
+    ).reshape(k, n)
+    level = np.arange(n, dtype=dtype)[None]
+    seen = _row_keys(level)  # sorted keys of every element so far
+    levels, parents, letters, starts = [level], [np.array([-1])], [np.array([-1])], [0, 1]
+    while True:
+        if starts[-1] > cap:
+            raise CapacityError(f"transition monoid exceeds cap of {cap} elements")
+        # level element f followed by letter a maps s to images[a][f[s]]; rows
+        # ordered (element, letter) are the candidates in BFS order
+        candidates = images[:, level].transpose(1, 0, 2).reshape(-1, n)
+        keys, first = np.unique(_row_keys(candidates), return_index=True)
+        at = np.searchsorted(seen, keys)
+        fresh = seen[np.minimum(at, len(seen) - 1)] != keys
+        if not fresh.any():
+            break
+        seen = np.insert(seen, at[fresh], keys[fresh])
+        first = np.sort(first[fresh])  # first occurrences, in BFS order
+        level = candidates[first]
+        levels.append(level)
+        parents.append(starts[-2] + first // k)
+        letters.append(first % k)
+        starts.append(starts[-1] + len(level))
+    return np.concatenate(levels), np.concatenate(parents), np.concatenate(letters), starts
+
+
+def _word(alphabet, parent, letter, i: int) -> tuple:
+    """The word of monoid row i, rebuilt from the parent and letter arrays."""
+    word = []
+    while i > 0:
+        word.append(alphabet[letter[i]])
+        i = parent[i]
+    return tuple(reversed(word))
+
+
 def transition_monoid(c: ClassicalAutomaton, cap: int = DEFAULT_MONOID_CAP):
     """All distinct state mappings realized by words, with shortest witnesses.
 
@@ -264,23 +346,46 @@ def transition_monoid(c: ClassicalAutomaton, cap: int = DEFAULT_MONOID_CAP):
     CapacityError exactly when the monoid has more than ``cap`` elements.
     """
     _require_plain(c, "transition_monoid")
-    n = c.n_states
-    identity = tuple(range(n))
-    images = [[c.transitions[(s, a)] for s in range(n)] for a in c.alphabet]
-    elements = {identity: ()}
-    queue = deque([identity])
-    while queue:
-        # an element past the cap is still queued, so this check sees it
-        if len(elements) > cap:
-            raise CapacityError(f"transition monoid exceeds cap of {cap} elements")
-        mapping = queue.popleft()
-        word = elements[mapping]
-        for a, image in zip(c.alphabet, images):
-            nxt = tuple([image[x] for x in mapping])
-            if nxt not in elements:
-                elements[nxt] = word + (a,)
-                queue.append(nxt)
-    return [MonoidElement(mapping=m, word=w) for m, w in elements.items()]
+    elements, parent, letter, _ = _monoid(c, cap)
+    words = [()]
+    for p, a in zip(parent[1:].tolist(), letter[1:].tolist()):
+        words.append(words[p] + (c.alphabet[a],))
+    return [MonoidElement(mapping=tuple(m), word=w) for m, w in zip(elements.tolist(), words)]
+
+
+def _scan_order(alphabet, parent, letter, starts) -> np.ndarray:
+    """The monoid rows sorted by (len(word), word), as indices into the BFS order.
+
+    A word sorts by its prefix first and its last letter second, so each
+    level is ordered by the rank of its parent in the previous level and
+    then by the rank of its letter in ``sorted(alphabet)``.  With a sorted
+    alphabet this is the BFS order itself.
+    """
+    rank_of = {a: r for r, a in enumerate(sorted(alphabet))}
+    letter_rank = np.array([rank_of[a] for a in alphabet], dtype=np.intp)
+    order = np.arange(len(parent))
+    rank = np.arange(len(parent))  # the scan position of each row
+    for lo, hi in zip(starts[1:-1], starts[2:]):
+        order[lo:hi] = lo + np.lexsort((letter_rank[letter[lo:hi]], rank[parent[lo:hi]]))
+        rank[order[lo:hi]] = np.arange(lo, hi)
+    return order
+
+
+def _cyclic_points(f: np.ndarray) -> np.ndarray:
+    """``out[r, q]`` is True when some positive power of mapping ``f[r]`` returns q to q.
+
+    On n states, every point reaches its cycle within n - 1 steps, so the
+    points on cycles are exactly the image of f^m for any m >= n - 1; m is
+    reached by repeated squaring.
+    """
+    n = f.shape[1]
+    power, m = f, 1
+    while m < n - 1:
+        power = np.take_along_axis(power, power, axis=1)
+        m *= 2
+    out = np.zeros(f.shape, dtype=bool)
+    np.put_along_axis(out, power, True, axis=1)
+    return out
 
 
 def find_prfa_forbidden_construction(c: ClassicalAutomaton, cap: int = DEFAULT_MONOID_CAP):
@@ -292,48 +397,50 @@ def find_prfa_forbidden_construction(c: ClassicalAutomaton, cap: int = DEFAULT_M
     transition monoid, which is why the cap is exposed.
 
     The conditions on y do not involve x: a y exists exactly when the merge
-    table holds for (q1, q2).  So one pass over the monoid, shortest word
-    first, finds the first x with such a pair, and a second pass finds the
+    table holds for (q1, q2).  So one array pass over the monoid, shortest
+    word first, finds the first x with such a pair, and a second finds the
     first y for that x, so the scan after the enumeration is O(|M|·n^2).
     """
     _require_plain(c, "find_prfa_forbidden_construction")
     n = c.n_states
-    eligible = set(range(n)).difference(*_fates(c))
-    elements = transition_monoid(c, cap)
-    merge = _merge_table(c)
-    targets = [
-        [q2 for q2 in eligible if q2 != q1 and merge[q1][q2]] if q1 in eligible else []
-        for q1 in range(n)
-    ]
-    sources = [q1 for q1 in range(n) if targets[q1]]
-    if not sources:  # no y merges two eligible states, e.g. every letter a permutation
+    elements, parent, letter, starts = _monoid(c, cap)
+    halt_accept, halt_reject, merge = _facts(c)
+    eligible = np.ones(n, dtype=bool)
+    eligible[list(halt_accept | halt_reject)] = False
+    # targets[q1, q2]: some y takes q1 to q2 and fixes q2, both eligible
+    targets = np.array(merge, dtype=bool).reshape(n, n) & eligible & eligible[:, None]
+    np.fill_diagonal(targets, False)
+    sources = np.flatnonzero(targets.any(axis=1))
+    if not len(sources):  # no y merges two eligible states, e.g. every letter a permutation
         return None
-    elements.sort(key=lambda e: (len(e.word), e.word))
-    for fx in elements:
-        f = fx.mapping
-        fixed = [q1 for q1 in sources if f[q1] == q1]
-        valid = {(q1, q2) for q1 in fixed for q2 in targets[q1] if not _on_cycle(f, q2)}
-        if valid:
-            break
-    else:
+    order = _scan_order(c.alphabet, parent, letter, starts)
+    mappings = elements[order]
+
+    # x: the first element fixing a source q1 and leaving one of its targets off every cycle
+    fixes = mappings[:, sources] == sources
+    rows = np.flatnonzero(fixes.any(axis=1))
+    reachable = np.matmul(fixes[rows], targets[sources])  # some fixed q1 has q2 as a target
+    hits = np.flatnonzero((reachable & ~_cyclic_points(mappings[rows])).any(axis=1))
+    if not len(hits):
         return None
-    for fy in elements:
-        g = fy.mapping
-        for q1 in fixed:
-            q2 = g[q1]
-            if (q1, q2) in valid and g[q2] == q2:
-                return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=fx.word, y=fy.word)
-    raise AssertionError("the merge table promised a word that the monoid lacks")
+    fx = rows[hits[0]]
+    fixed = sources[fixes[fx]]
+    valid = targets[fixed] & ~_cyclic_points(mappings[fx][None])[0]
 
-
-def _on_cycle(f, q: int) -> bool:
-    """True when some positive power of the state mapping f returns q to q."""
-    cur = f[q]
-    for _ in range(len(f)):
-        if cur == q:
-            return True
-        cur = f[cur]
-    return False
+    # y: the first element taking a fixed q1 to a valid q2 that it also fixes
+    q2 = mappings[:, fixed]
+    found = valid[np.arange(len(fixed)), q2] & (np.take_along_axis(mappings, q2, axis=1) == q2)
+    fy = np.flatnonzero(found.any(axis=1))
+    if not len(fy):
+        raise AssertionError("the merge table promised a word that the monoid lacks")
+    fy = fy[0]
+    q1 = fixed[np.flatnonzero(found[fy])[0]]
+    return ConstructionWitness(
+        q1=c.states[q1],
+        q2=c.states[mappings[fy, q1]],
+        x=_word(c.alphabet, parent, letter, order[fx]),
+        y=_word(c.alphabet, parent, letter, order[fy]),
+    )
 
 
 def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
@@ -351,7 +458,8 @@ def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
         return False
     if _step_word(c, q1, w.y) != q2 or _step_word(c, q2, w.y) != q2:
         return False
-    return not _on_cycle([_step_word(c, s, w.x) for s in range(c.n_states)], q2)
+    x = np.array([_step_word(c, s, w.x) for s in range(c.n_states)])
+    return not _cyclic_points(x[None])[0, q2]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +486,7 @@ def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
             "minimal automaton contains the forbidden construction; no reversible equivalent exists"
         )
 
-    halt_accept, halt_reject = _fates(c)
+    halt_accept, halt_reject, _ = _facts(c)
     names = list(c.states)
     origin = list(range(c.n_states))  # the state of c that each state copies
     # states whose every continuation is accepted (or rejected) halt immediately

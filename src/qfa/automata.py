@@ -30,6 +30,13 @@ HALT_ON_ENTER = "halt-on-enter"
 _PRFA_TOL = 1e-12
 
 
+def _check_alphabet(alphabet):
+    """Every automaton's input alphabet must leave the endmarkers out."""
+    for end in (LEFT_END, RIGHT_END):
+        if end in alphabet:
+            raise ValueError(f"alphabet must not contain the endmarker {end!r}")
+
+
 @dataclass(frozen=True)
 class QuantumAutomaton:
     """A 1-way quantum finite automaton.
@@ -46,6 +53,9 @@ class QuantumAutomaton:
     rejecting: frozenset
     initial: np.ndarray
     unitaries: dict
+
+    def __post_init__(self):
+        _check_alphabet(self.alphabet)
 
     @property
     def dim(self) -> int:
@@ -146,6 +156,9 @@ class ClassicalAutomaton:
     transitions: dict = field(default_factory=dict)
     halting_mode: str = END_OF_WORD
 
+    def __post_init__(self):
+        _check_alphabet(self.alphabet)
+
     @property
     def n_states(self) -> int:
         return len(self.states)
@@ -175,6 +188,9 @@ class ProbabilisticAutomaton:
     accepting: frozenset
     rejecting: frozenset
     transitions: dict
+
+    def __post_init__(self):
+        _check_alphabet(self.alphabet)
 
     @property
     def n_states(self) -> int:

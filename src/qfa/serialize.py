@@ -18,13 +18,12 @@ from . import linalg
 from .automata import (
     END_OF_WORD,
     HALT_ON_ENTER,
-    LEFT_END,
-    RIGHT_END,
     ClassicalAutomaton,
     ProbabilisticAutomaton,
     QuantumAutomaton,
     make_qfa,
 )
+from .constructions import MAX_TENSOR_COPIES
 
 FORMAT_VERSION = 1
 
@@ -50,14 +49,6 @@ def _list(doc: dict, key: str) -> list:
     if not isinstance(value, list):
         raise FileFormatError(f"{key} must be a list, got {value!r}")
     return value
-
-
-def _alphabet(doc: dict) -> list:
-    alphabet = _list(doc, "alphabet")
-    for end in (LEFT_END, RIGHT_END):
-        if end in alphabet:
-            raise FileFormatError(f"alphabet must not contain the endmarker {end!r}")
-    return alphabet
 
 
 def _number(value, what: str) -> float:
@@ -141,13 +132,14 @@ def _operator_out(op):
     raise FileFormatError(f"cannot serialize operator of type {type(op).__name__}")
 
 
-def _operator_in(obj, state_index=None):
+def _operator_in(obj, state_index: dict, top: bool = False):
+    """An operator spec of a qfa file; partial rows are allowed only at the ``top``."""
     if isinstance(obj, list):
         return np.array([_vector_in(row, "a matrix row") for row in obj], dtype=complex)
     if not isinstance(obj, dict):
         raise FileFormatError(f"bad operator spec: {obj!r}")
     if "rows" in obj and "op" not in obj:
-        if state_index is None:
+        if not top:
             raise FileFormatError("partial rows are only allowed inside a qfa file")
         rows = _mapping(obj["rows"], "rows")
         for name in rows:
@@ -157,14 +149,23 @@ def _operator_in(obj, state_index=None):
     if kind == "identity":
         return linalg.IdentityOp(_field(obj, "dim", int))
     if kind == "tensor-power":
-        base = _operator_in(_field(obj, "base", list))
-        return linalg.TensorPowerOp(base, _field(obj, "copies", int))
+        base = _operator_in(_field(obj, "base", list), state_index)
+        copies = _field(obj, "copies", int)
+        # checked before TensorPowerOp raises the base to the power
+        if copies > MAX_TENSOR_COPIES:
+            raise FileFormatError(f"tensor-power operator has {copies} copies, more than {MAX_TENSOR_COPIES}")
+        if len(base) ** copies > len(state_index):
+            raise FileFormatError(
+                f"tensor-power operator has dimension {len(base) ** copies}, "
+                f"more than the {len(state_index)} states"
+            )
+        return linalg.TensorPowerOp(base, copies)
     if kind == "permutation":
         return linalg.PermutationOp(_field(obj, "dest", list))
     if kind == "block-diag":
-        return linalg.BlockDiagOp([_operator_in(b) for b in _field(obj, "blocks", list)])
+        return linalg.BlockDiagOp([_operator_in(b, state_index) for b in _field(obj, "blocks", list)])
     if kind == "composed":
-        return linalg.ComposedOp([_operator_in(f) for f in _field(obj, "factors", list)])
+        return linalg.ComposedOp([_operator_in(f, state_index) for f in _field(obj, "factors", list)])
     if kind == "plane-rotation":
         target = _vector_in(_field(obj, "target", object), "target")
         return linalg.PlaneRotationOp(_field(obj, "axis", int), target)
@@ -189,12 +190,12 @@ def qfa_from_dict(doc: dict) -> QuantumAutomaton:
     index = _state_index(doc)
     return make_qfa(
         states=doc["states"],
-        alphabet=_alphabet(doc),
+        alphabet=_list(doc, "alphabet"),
         accepting=[_lookup(index, s, "accepting") for s in _list(doc, "accepting")],
         rejecting=[_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")],
         initial=_vector_in(doc["initial"], "initial"),
         partial_unitaries={
-            sym: _operator_in(spec, state_index=index)
+            sym: _operator_in(spec, index, top=True)
             for sym, spec in _mapping(doc["unitaries"], "unitaries").items()
         },
     )
@@ -232,7 +233,7 @@ def classical_from_dict(doc: dict) -> ClassicalAutomaton:
         raise FileFormatError(f"unknown halting mode {mode!r}")
     return ClassicalAutomaton(
         states=tuple(doc["states"]),
-        alphabet=tuple(_alphabet(doc)),
+        alphabet=tuple(_list(doc, "alphabet")),
         start=_lookup(index, doc["start"], "start"),
         accepting=frozenset(_lookup(index, s, "accepting") for s in _list(doc, "accepting")),
         rejecting=frozenset(_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")),
@@ -271,7 +272,7 @@ def prfa_from_dict(doc: dict) -> ProbabilisticAutomaton:
             transitions[(s, sym)] = _weighted(index, edges, "a transition")
     return ProbabilisticAutomaton(
         states=tuple(doc["states"]),
-        alphabet=tuple(_alphabet(doc)),
+        alphabet=tuple(_list(doc, "alphabet")),
         initial_distribution=tuple(
             _weighted(index, _list(doc, "initial_distribution"), "initial_distribution")
         ),

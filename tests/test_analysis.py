@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -634,6 +634,66 @@ class TestTransitionMonoid:
         assert len(transition_monoid(sigma_star_dfa(), cap=1)) == 1
 
 
+def relabeled(c, alphabet):
+    """The same DFA with its letters renamed, in order, to ``alphabet``."""
+    rename = dict(zip(c.alphabet, alphabet))
+    return dataclasses.replace(
+        c,
+        alphabet=tuple(alphabet),
+        transitions={(s, rename[a]): t for (s, a), t in c.transitions.items()},
+    )
+
+
+class TestArrayMonoid:
+    """The array enumeration and scan against the dict BFS and the quadratic search."""
+
+    @staticmethod
+    def check(dfa, cap=analysis.DEFAULT_MONOID_CAP):
+        want = dict_lookup_monoid(dfa, cap)
+        assert transition_monoid(dfa, cap) == want
+        got = find_prfa_forbidden_construction(dfa, cap)
+        assert got == quadratic_prfa_forbidden(dfa, cap)
+        assert got is None or witness_holds(dfa, got)
+        # the scan visits the elements in (len(word), word) order
+        _, parent, letter, starts = analysis._monoid(dfa, cap)
+        order = analysis._scan_order(dfa.alphabet, parent, letter, starts)
+        assert [want[i] for i in order] == sorted(want, key=lambda e: (len(e.word), e.word))
+        return got
+
+    @pytest.mark.parametrize("m", range(5, 11))
+    def test_block_family_keys_rows_by_bytes(self, m):
+        dfa = minimize_dfa(block_dfa(m))
+        assert dfa.n_states > analysis._PACKED_KEY_MAX_STATES
+        self.check(dfa)
+
+    @pytest.mark.parametrize(
+        "alphabet", [("b", "a"), ("c", "a", "b"), ("ba", "b", "a"), ("b", "ab", "a", "aa")],
+    )
+    def test_unsorted_and_multi_character_alphabets(self, alphabet):
+        rng = random.Random(13)
+        corpus = [minimize_dfa(random_dfa(seed, alphabet, 2, 5)) for seed in range(40)]
+        corpus.append(relabeled(symmetric_dfa(rng, 5), alphabet[:2]))
+        if len(alphabet) >= 3:
+            corpus.append(minimize_dfa(relabeled(block_dfa(4), alphabet[:3])))
+            corpus.append(relabeled(full_transformation_dfa(rng, 4), alphabet[:3]))
+        witnesses = [self.check(dfa) for dfa in corpus]
+        assert any(w is not None for w in witnesses)
+
+    def test_caps_at_the_monoid_size(self):
+        rng = random.Random(7)
+        s6 = symmetric_dfa(rng, 6)
+        full = full_transformation_dfa(rng, 5)
+        for dfa, size in ((s6, 720), (full, 5**5)):
+            with pytest.raises(CapacityError):
+                dict_lookup_monoid(dfa, size - 1)
+            with pytest.raises(CapacityError):
+                transition_monoid(dfa, size - 1)
+            with pytest.raises(CapacityError):
+                find_prfa_forbidden_construction(dfa, size - 1)
+            self.check(dfa, size)
+            assert len(transition_monoid(dfa, size)) == size
+
+
 class TestReversibilize:
     def test_parity_needs_no_duplication(self):
         r = reversibilize(parity_dfa())
@@ -646,6 +706,18 @@ class TestReversibilize:
     def test_forbidden_construction_rejected(self):
         with pytest.raises(analysis.NotReversibilizableError):
             reversibilize(astar_bstar_dfa())
+
+    def test_analyze_decides_each_fact_once(self, monkeypatch, tmp_path, capsys):
+        # both detectors and the precondition of reversibilize share one
+        # fates pair and one merge table of the minimal DFA
+        calls = Counter()
+        for name in ("_fates", "_merge_table"):
+            fn = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda c, fn=fn, name=name: calls.update([name]) or fn(c))
+        path = tmp_path / "blocks.json"
+        serialize.save(block_dfa(3), str(path))
+        assert main(["analyze", str(path), "--reversibilize", str(tmp_path / "rfa.json")]) == 0
+        assert calls == {"_fates": 1, "_merge_table": 1}
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_block_family_blowup(self, m):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -491,3 +492,24 @@ class TestClassicalValidation:
             transitions={(0, "a"): 0},
         )
         assert any("missing" in p for p in validate_classical(c))
+
+
+@pytest.mark.parametrize("end", [LEFT_END, RIGHT_END])
+def test_endmarkers_refused_in_every_alphabet(end):
+    alphabet = ("a", end)
+    message = re.escape(f"alphabet must not contain the endmarker {end!r}")
+    with pytest.raises(ValueError, match=message):
+        ClassicalAutomaton(
+            states=("s",), alphabet=alphabet, start=0, accepting=frozenset(),
+            transitions={(0, "a"): 0, (0, end): 0},
+        )
+    with pytest.raises(ValueError, match=message):
+        ProbabilisticAutomaton(
+            states=("s",), alphabet=alphabet, initial_distribution=((0, 1.0),),
+            accepting=frozenset(), rejecting=frozenset(), transitions={},
+        )
+    with pytest.raises(ValueError, match=message):
+        make_qfa(
+            states=("q0",), alphabet=alphabet, accepting=(), rejecting=(), initial=(1.0,),
+            partial_unitaries={},
+        )

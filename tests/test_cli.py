@@ -356,6 +356,40 @@ class TestMalformedFiles:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
 
+    HADAMARD = [[[0.5**0.5, 0.0], [0.5**0.5, 0.0]], [[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]]]
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"op": "tensor-power", "base": HADAMARD, "copies": 10000000},
+                "tensor-power operator has 10000000 copies, more than 20",
+            ),
+            (
+                {"op": "block-diag", "blocks": [
+                    {"op": "tensor-power", "base": HADAMARD, "copies": 20}, {"op": "identity", "dim": 1},
+                ]},
+                "tensor-power operator has dimension 1048576, more than the 3 states",
+            ),
+        ],
+        ids=["copies", "nested-dimension"],
+    )
+    def test_tensor_power_bounded_before_it_is_built(self, tmp_path, capsys, spec, message):
+        doc = {
+            "format_version": 1,
+            "kind": "qfa",
+            "states": ["s", "acc", "rej"],
+            "alphabet": ["a"],
+            "accepting": ["acc"],
+            "rejecting": ["rej"],
+            "initial": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "unitaries": {"a": spec},
+        }
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -1,10 +1,16 @@
-"""Time reversibilization and the equivalence check on the block family.
+"""Time the analysis layers: monoid enumeration, the two-word detector,
+reversibilization and the equivalence check.
 
     python tools/bench_analysis.py [--src DIR] [--label NAME]
 
-For m = 8 ... 12, times ``reversibilize(minimize_dfa(block_dfa(m)))`` and
+Times ``transition_monoid`` and ``find_prfa_forbidden_construction`` on two
+DFAs generated without randomness: S_7 on a transposition and a 7-cycle
+(5,040 elements, no witness), and the full transformation monoid of 6 states,
+from the same two permutations and a letter merging state 0 into state 1
+(46,656 elements).  For m = 8 ... 12, times
+``reversibilize(minimize_dfa(block_dfa(m)))`` and
 ``dfa_equivalent(block_dfa(m), rfa)`` on the RFA it returns.  The minimal
-DFA is built once per m and is not part of the first timing.
+DFA is built once per m and is not part of the reversibilize timing.
 
 Each timing gets one warm-up call, then 7 timed calls; the median and
 quartiles are reported in milliseconds, with the number of RFA states.
@@ -30,6 +36,26 @@ RUNS = 7
 OUT = os.path.join(ROOT, "BENCH_analysis.json")
 
 
+def generated_dfa(ClassicalAutomaton, n: int, merge: bool):
+    """n states over a transposition, an n-cycle and, with ``merge``, 0 -> 1.
+
+    The two permutations generate S_n; with a map of rank n - 1 they generate
+    all n^n maps.  Accepting {0} separates every pair of states, so the DFA
+    is minimal.
+    """
+    letters = [(1, 0) + tuple(range(2, n)), tuple((s + 1) % n for s in range(n))]
+    if merge:
+        letters.append((1,) + tuple(range(1, n)))
+    alphabet = "abc"[: len(letters)]
+    return ClassicalAutomaton(
+        states=tuple(f"s{i}" for i in range(n)),
+        alphabet=tuple(alphabet),
+        start=0,
+        accepting=frozenset({0}),
+        transitions={(s, a): f[s] for a, f in zip(alphabet, letters) for s in range(n)},
+    )
+
+
 def time_call(fn, runs):
     """Median and quartiles of ``runs`` timed calls after one warm-up, and the last result."""
     result = fn()
@@ -51,6 +77,18 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     from qfa import analysis, constructions
+    from qfa.automata import ClassicalAutomaton
+
+    monoids = []
+    for name, n, merge in (("S7", 7, False), ("full-transformation-6", 6, True)):
+        dfa = generated_dfa(ClassicalAutomaton, n, merge)
+        monoid, elements = time_call(lambda: analysis.transition_monoid(dfa), RUNS)
+        detector, _ = time_call(lambda: analysis.find_prfa_forbidden_construction(dfa), RUNS)
+        monoids.append({
+            "dfa": name, "elements": len(elements),
+            "transition_monoid": monoid, "find_prfa_forbidden_construction": detector,
+        })
+        print(name, len(elements), monoid["median_ms"], detector["median_ms"], file=sys.stderr)
 
     rows = []
     for m in BLOCK_SIZES:
@@ -65,6 +103,8 @@ def main(argv=None) -> int:
     store_result(OUT, args.label, {
         "machine": machine_info(np),
         "method": {
+            "monoid_automata": "S_7 on a transposition and a 7-cycle; the full transformation "
+                               "monoid of 6 states from the same permutations and a merge 0 -> 1",
             "automata": f"block_dfa(m) for m = {BLOCK_SIZES.start}..{BLOCK_SIZES.stop - 1}",
             "reversibilize": "reversibilize(minimize_dfa(block_dfa(m))), minimization not timed",
             "dfa_equivalent": "dfa_equivalent(block_dfa(m), rfa)",
@@ -72,6 +112,7 @@ def main(argv=None) -> int:
             "runs": RUNS,
             "statistic": "median and quartiles over runs of one call, milliseconds",
         },
+        "monoids": monoids,
         "results": rows,
     })
     return 0
