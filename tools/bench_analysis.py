@@ -36,13 +36,15 @@ RUNS = 7
 OUT = os.path.join(ROOT, "BENCH_analysis.json")
 
 
-def generated_dfa(ClassicalAutomaton, n: int, merge: bool):
+def generated_dfa(n: int, merge: bool):
     """n states over a transposition, an n-cycle and, with ``merge``, 0 -> 1.
 
     The two permutations generate S_n; with a map of rank n - 1 they generate
     all n^n maps.  Accepting {0} separates every pair of states, so the DFA
     is minimal.
     """
+    from qfa.automata import ClassicalAutomaton  # from the checkout that --src names
+
     letters = [(1, 0) + tuple(range(2, n)), tuple((s + 1) % n for s in range(n))]
     if merge:
         letters.append((1,) + tuple(range(1, n)))
@@ -77,11 +79,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     from qfa import analysis, constructions
-    from qfa.automata import ClassicalAutomaton
 
     monoids = []
     for name, n, merge in (("S7", 7, False), ("full-transformation-6", 6, True)):
-        dfa = generated_dfa(ClassicalAutomaton, n, merge)
+        dfa = generated_dfa(n, merge)
         monoid, elements = time_call(lambda: analysis.transition_monoid(dfa), RUNS)
         detector, _ = time_call(lambda: analysis.find_prfa_forbidden_construction(dfa), RUNS)
         monoids.append({
