@@ -458,8 +458,15 @@ def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
         return False
     if _step_word(c, q1, w.y) != q2 or _step_word(c, q2, w.y) != q2:
         return False
-    x = np.array([_step_word(c, s, w.x) for s in range(c.n_states)])
-    return not _cyclic_points(x[None])[0, q2]
+    # an independent walk, not the detector's array pass: x^k returns q2 to q2
+    # for some k <= n exactly when q2 lies on a cycle of x
+    x = [_step_word(c, s, w.x) for s in range(c.n_states)]
+    cur = x[q2]
+    for _ in range(c.n_states):
+        if cur == q2:
+            return False
+        cur = x[cur]
+    return True
 
 
 # ---------------------------------------------------------------------------

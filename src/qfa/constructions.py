@@ -26,6 +26,7 @@ from .automata import (
     make_qfa,
 )
 from .linalg import (
+    MAX_TENSOR_COPIES,
     BlockDiagOp,
     CapacityError,
     ComposedOp,
@@ -35,7 +36,6 @@ from .linalg import (
     TensorPowerOp,
 )
 
-MAX_TENSOR_COPIES = 20
 MAX_COMPOSITE_STATES = 500000
 MAX_EQUALITY_BOUND = 100000
 SEQUENCE_ATTEMPTS = 1000

@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# most copies a TensorPowerOp takes; checked before the dimension is formed
+MAX_TENSOR_COPIES = 20
 
 # Gram-Schmidt residuals below this are treated as linearly dependent.
 _GS_THRESHOLD = 1e-6
@@ -194,6 +196,10 @@ class TensorPowerOp:
         self.copies = int(copies)
         if self.copies < 1:
             raise ValueError("tensor power needs at least one copy")
+        if self.copies > MAX_TENSOR_COPIES:
+            raise ValueError(
+                f"tensor-power operator has {self.copies} copies, more than {MAX_TENSOR_COPIES}"
+            )
         self.dim = self.base.shape[0] ** self.copies
 
     def dense(self):

@@ -23,7 +23,6 @@ from .automata import (
     QuantumAutomaton,
     make_qfa,
 )
-from .constructions import MAX_TENSOR_COPIES
 
 FORMAT_VERSION = 1
 
@@ -132,14 +131,13 @@ def _operator_out(op):
     raise FileFormatError(f"cannot serialize operator of type {type(op).__name__}")
 
 
-def _operator_in(obj, state_index: dict, top: bool = False):
-    """An operator spec of a qfa file; partial rows are allowed only at the ``top``."""
+def _operator_in(obj, state_index=None):
     if isinstance(obj, list):
         return np.array([_vector_in(row, "a matrix row") for row in obj], dtype=complex)
     if not isinstance(obj, dict):
         raise FileFormatError(f"bad operator spec: {obj!r}")
     if "rows" in obj and "op" not in obj:
-        if not top:
+        if state_index is None:
             raise FileFormatError("partial rows are only allowed inside a qfa file")
         rows = _mapping(obj["rows"], "rows")
         for name in rows:
@@ -149,23 +147,14 @@ def _operator_in(obj, state_index: dict, top: bool = False):
     if kind == "identity":
         return linalg.IdentityOp(_field(obj, "dim", int))
     if kind == "tensor-power":
-        base = _operator_in(_field(obj, "base", list), state_index)
-        copies = _field(obj, "copies", int)
-        # checked before TensorPowerOp raises the base to the power
-        if copies > MAX_TENSOR_COPIES:
-            raise FileFormatError(f"tensor-power operator has {copies} copies, more than {MAX_TENSOR_COPIES}")
-        if len(base) ** copies > len(state_index):
-            raise FileFormatError(
-                f"tensor-power operator has dimension {len(base) ** copies}, "
-                f"more than the {len(state_index)} states"
-            )
-        return linalg.TensorPowerOp(base, copies)
+        base = _operator_in(_field(obj, "base", list))
+        return linalg.TensorPowerOp(base, _field(obj, "copies", int))
     if kind == "permutation":
         return linalg.PermutationOp(_field(obj, "dest", list))
     if kind == "block-diag":
-        return linalg.BlockDiagOp([_operator_in(b, state_index) for b in _field(obj, "blocks", list)])
+        return linalg.BlockDiagOp([_operator_in(b) for b in _field(obj, "blocks", list)])
     if kind == "composed":
-        return linalg.ComposedOp([_operator_in(f, state_index) for f in _field(obj, "factors", list)])
+        return linalg.ComposedOp([_operator_in(f) for f in _field(obj, "factors", list)])
     if kind == "plane-rotation":
         target = _vector_in(_field(obj, "target", object), "target")
         return linalg.PlaneRotationOp(_field(obj, "axis", int), target)
@@ -195,7 +184,7 @@ def qfa_from_dict(doc: dict) -> QuantumAutomaton:
         rejecting=[_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")],
         initial=_vector_in(doc["initial"], "initial"),
         partial_unitaries={
-            sym: _operator_in(spec, index, top=True)
+            sym: _operator_in(spec, state_index=index)
             for sym, spec in _mapping(doc["unitaries"], "unitaries").items()
         },
     )

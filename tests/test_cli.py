@@ -369,7 +369,7 @@ class TestMalformedFiles:
                 {"op": "block-diag", "blocks": [
                     {"op": "tensor-power", "base": HADAMARD, "copies": 20}, {"op": "identity", "dim": 1},
                 ]},
-                "tensor-power operator has dimension 1048576, more than the 3 states",
+                "symbol 'a': matrix dimension 1048577 != 3",
             ),
         ],
         ids=["copies", "nested-dimension"],

@@ -140,6 +140,12 @@ class TestTensorAndDirectSum:
         out = np.kron(np.eye(2, dtype=complex), np.ones((3, 3), dtype=complex))
         assert out.shape == (6, 6)
 
+    def test_copies_capped_before_the_dimension_is_formed(self):
+        base = np.eye(2, dtype=complex)
+        assert linalg.TensorPowerOp(base, linalg.MAX_TENSOR_COPIES).dim == 2**linalg.MAX_TENSOR_COPIES
+        with pytest.raises(ValueError, match="10000000 copies, more than 20"):
+            linalg.TensorPowerOp(base, 10000000)
+
     def test_direct_sum_single(self):
         m = np.array([[0, 1], [1, 0]], dtype=complex)
         assert np.array_equal(linalg.direct_sum([m]), m)
