@@ -19,6 +19,9 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 # most copies a TensorPowerOp takes; checked before the dimension is formed
 MAX_TENSOR_COPIES = 20
+# most rows of one fused round of a lowered tensor power (see _fused_runs);
+# 16 and 32 were fastest in a sweep of 2 ... 128 on the amplified mod-p QFA
+_FUSED_ROWS = 32
 
 # Gram-Schmidt residuals below this are treated as linearly dependent.
 _GS_THRESHOLD = 1e-6
@@ -228,21 +231,41 @@ class TensorPowerOp:
         ))
 
 
-def _tensor_powers(bases_t, t, copies: int) -> np.ndarray:
-    """Apply g tensor powers of k x k bases to g blocks at once, in place.
+def _fused_runs(k: int, copies: int) -> list:
+    """Factor counts of the rounds that contract a ``copies``-fold power of a
+    k x k base: runs of the largest r with k**r <= _FUSED_ROWS (at least
+    one factor), the last run possibly shorter."""
+    r = 1
+    while r < copies and k ** (r + 1) <= _FUSED_ROWS:
+        r += 1
+    return [min(r, copies - i) for i in range(0, copies, r)]
 
-    ``bases_t`` holds the transposed bases as a (g, k, k) array and ``t`` the
-    blocks as a C-contiguous complex (g, k**copies) array, which is
-    overwritten with the result.  Each round contracts the leading tensor axis
-    with the base rows and moves the new axis to the back, so after
-    ``copies`` rounds every axis is contracted once and the order is restored.
+
+def _kron_powers(mats, r: int) -> np.ndarray:
+    """r-fold Kronecker powers of a (g, k, k) stack of matrices, as a
+    (g, k**r, k**r) stack."""
+    g, k, _ = mats.shape
+    out = mats
+    for _ in range(r - 1):
+        rows = out.shape[1] * k
+        out = (out[:, :, None, :, None] * mats[:, None, :, None, :]).reshape(g, rows, rows)
+    return out
+
+
+def _tensor_powers(rounds, t) -> np.ndarray:
+    """Apply g tensor powers to g blocks at once, in place.
+
+    ``t`` holds the blocks as a C-contiguous complex (g, n) array and is
+    overwritten with the result.  ``rounds`` lists, for each fused run of
+    factors, the run's transposed power stacked over the group as a (g, K, K)
+    array; the K's multiply to n.  Each round contracts the leading K-sized
+    axis with the run's power and moves the new axis to the back, so after
+    the last round every factor is contracted once and the order is restored.
     """
-    g, k, _ = bases_t.shape
-    rest = t.shape[1] // k
-    prod = np.empty((g, k, rest), dtype=complex)
-    for _ in range(copies):
-        np.matmul(bases_t, t.reshape(g, k, rest), out=prod)
-        t.reshape(g, rest, k)[...] = prod.transpose(0, 2, 1)
+    g = t.shape[0]
+    for power_t in rounds:
+        rows = power_t.shape[1]
+        t.reshape(g, -1, rows)[...] = np.matmul(power_t, t.reshape(g, rows, -1)).transpose(0, 2, 1)
     return t
 
 
@@ -377,8 +400,11 @@ class _Stage:
     """One lowered factor: called on a state vector, returns its image.
 
     Identity leaves are skipped, permutation leaves merge into one gather,
-    tensor powers of equal shape run as one batched kernel, a dense leaf
-    multiplies its slice and a plane rotation rotates its slice of the output.
+    tensor powers of equal shape run as one batched kernel in fused runs of
+    factors of at most ``_FUSED_ROWS`` rows, a dense leaf multiplies its slice
+    and a plane rotation rotates its slice of the output.  A stage that is
+    one batch of tensor powers over the whole vector runs the kernel on a
+    single copy of the input.
     """
 
     def __init__(self, op):
@@ -398,18 +424,30 @@ class _Stage:
                 groups.setdefault((leaf.base.shape[0], leaf.copies), []).append((off, leaf))
             else:
                 self.others.append((off, leaf))
+        self.whole = None
         self.groups = []
-        for (_, copies), members in groups.items():
+        for (k, copies), members in groups.items():
+            runs = _fused_runs(k, copies)
             bases_t = np.stack([leaf.base.T for _, leaf in members])
-            offsets = np.array([off for off, _ in members])
-            index = offsets[:, np.newaxis] + np.arange(members[0][1].dim)
-            self.groups.append((bases_t, index, copies))
+            powers = {r: _kron_powers(bases_t, r) for r in set(runs)}
+            rounds = [powers[r] for r in runs]
+            if (self.gather is None and not self.others and len(groups) == 1
+                    and len(members) * k**copies == op.dim):
+                # leaves come in offset order, so the members cut the whole
+                # vector into consecutive blocks
+                self.whole = (rounds, len(members))
+            else:
+                offsets = np.array([off for off, _ in members])
+                self.groups.append((rounds, offsets[:, np.newaxis] + np.arange(k**copies)))
 
     def __call__(self, v):
         v = np.asarray(v, dtype=complex)
+        if self.whole is not None:
+            rounds, g = self.whole
+            return _tensor_powers(rounds, v.reshape(g, -1).copy()).reshape(-1)
         out = v.copy() if self.gather is None else v[self.gather]
-        for bases_t, index, copies in self.groups:
-            out[index] = _tensor_powers(bases_t, v[index], copies)
+        for rounds, index in self.groups:
+            out[index] = _tensor_powers(rounds, v[index])
         # leaves are disjoint, so each slice of out still equals that of v here
         for off, leaf in self.others:
             k = operator_dim(leaf)

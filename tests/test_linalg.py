@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,13 +212,36 @@ class TestStructuredOps:
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_tensor_power_matches_dense(self, seed):
+        # every split of a power into fused rounds of at most 32 rows: 2 x 2
+        # bases up to 5+3 factors, 3 x 3 up to 3+2, 4 x 4 at two factors a
+        # round and 6 x 6 at one; alone and batched with a second base
         rng = np.random.default_rng(seed)
-        base = random_unitary(rng, 2)
-        d = int(rng.integers(1, 5))
-        op = TensorPowerOp(base, d)
+        shapes = [(2, d) for d in range(1, 9)] + [(3, d) for d in range(1, 6)]
+        shapes += [(4, d) for d in range(1, 5)] + [(6, d) for d in range(1, 4)]
+        for k, d in shapes:
+            op = TensorPowerOp(random_unitary(rng, k), d)
+            pair = BlockDiagOp([op, TensorPowerOp(random_unitary(rng, k), d)])
+            for o in (op, pair):
+                v = rng.normal(size=o.dim) + 1j * rng.normal(size=o.dim)
+                assert np.abs(linalg.lower(o, len(v))(v) - v @ o.dense()).max() <= 1e-12
+            assert op.unitarity_defect() <= 1e-12
+
+    def test_top_level_tensor_power_runs_on_one_copy(self):
+        # X tensored 14 times reverses a vector; lowered, it holds one copy
+        # of the input and one kernel buffer of the same size
+        op = TensorPowerOp(np.array([[0, 1], [1, 0]]), 14)
+        rng = np.random.default_rng(0)
         v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
-        assert np.allclose(linalg.lower(op, len(v))(v), linalg.lower(op.dense(), len(v))(v), atol=1e-12)
-        assert op.unitarity_defect() <= 1e-12
+        before = v.copy()
+        tracemalloc.start()
+        try:
+            got = linalg.lower(op, op.dim)(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, v[::-1])
+        assert np.array_equal(v, before)
+        assert peak <= 2 * v.nbytes + 64 * 1024
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
@@ -281,7 +305,7 @@ def random_operator(rng, dim, depth):
     kinds = ["identity", "dense", "permutation"]
     if dim >= 2:
         kinds.append("rotation")
-    powers = [(k, c) for k in (2, 3) for c in range(1, 5) if k**c == dim]
+    powers = [(k, c) for k in (2, 3) for c in range(1, 6) if k**c == dim]
     if powers:
         kinds += ["tensor", "tensor"]
     if depth > 0:
@@ -309,7 +333,7 @@ def random_operator(rng, dim, depth):
     parts = []
     left = dim
     while left:
-        size = min(left, int(rng.choice([1, 2, 4, 4, 8, 9])))
+        size = min(left, int(rng.choice([1, 2, 4, 4, 8, 9, 16, 32])))
         parts += [size] * min(int(rng.integers(1, 4)), left // size)
         left = dim - sum(parts)
     return BlockDiagOp([random_operator(rng, size, depth - 1) for size in parts])

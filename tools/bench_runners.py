@@ -9,9 +9,11 @@ Times ``run_measure_many``, ``run_measure_once``, ``run_multiscan`` (2 scans),
   2, 3, 4 and 5 states, with ``run_prfa`` on the source PRFA;
 - ``dense``: random dense QFAs of dimension 8, 16, 32 and 64 (unitaries from a
   complex QR, a quarter of the states accepting and a quarter rejecting);
-- ``structured``: the composite automata ``modp_qfa(p)`` for p = 5, 13, 31
-  and ``modp_qfa_amplified(p, 0.6)`` for p = 5, 11, 13, whose symbols are
-  block-diagonal tensor powers and permutations and a plane rotation.
+- ``structured``: the composite automata ``modp_qfa(p)`` for p = 5, 13, 31,
+  ``modp_qfa_amplified(p, 0.6)`` for p = 5, 11, 13, 31 and
+  ``equality_qfa(20, 0.5, 60)``, whose symbols are block-diagonal tensor
+  powers and permutations and a plane rotation.  The last two are the CLI's
+  default ``verify`` targets, with 57,345 and 753 states.
 
 The first two run every word over {a, b} up to length 9 (1,023 words, the
 ``dense-small`` sweep), the third every word a^0 ... a^40.
@@ -43,7 +45,7 @@ PRFA_DIMS = (2, 3, 4, 5)
 DENSE_DIMS = (8, 16, 32, 64)
 MAX_LEN = 9
 MODP_PRIMES = (5, 13, 31)
-AMPLIFIED_PRIMES = (5, 11, 13)
+AMPLIFIED_PRIMES = (5, 11, 13, 31)
 STRUCTURED_MAX_LEN = 40
 SCANS = 2
 WARMUP_WORDS = 50
@@ -59,6 +61,7 @@ def structured_cases(constructions):
     cases = [(constructions.modp_qfa(p), f"modp_qfa({p})") for p in MODP_PRIMES]
     cases += [(constructions.modp_qfa_amplified(p, 0.6), f"modp_qfa_amplified({p}, 0.6)")
               for p in AMPLIFIED_PRIMES]
+    cases.append((constructions.equality_qfa(20, 0.5, 60), "equality_qfa(20, 0.5, 60)"))
     return [(f"structured-{q.dim}", q.dim, source, q, None) for q, source in cases]
 
 
