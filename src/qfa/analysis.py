@@ -196,29 +196,36 @@ def _facts(c: ClassicalAutomaton):
     return facts
 
 
-def _shortest_pair_word(t1: dict, t2: dict, alphabet, start: tuple, goal):
+def _shortest_pair_word(t1: np.ndarray, t2: np.ndarray, alphabet, start: tuple, goal):
     """Shortest word taking the state pair ``start`` to a pair that satisfies ``goal``.
 
-    Breadth-first over pairs with the letters tried in alphabet order, so the
-    word is also the least in that order among the shortest.  Returns the
-    word as a tuple, or None when no reachable pair satisfies ``goal``.
+    ``t1`` and ``t2`` are complete transition tables whose columns are the
+    letters of ``alphabet``, and ``goal(p1, p2)`` marks the goal pairs among
+    arrays of pairs.  The search runs one breadth-first level at a time.  The
+    candidates of a level are ordered by (frontier position, letter index),
+    and each new pair keeps its first occurrence, so the word is also the
+    least in alphabet order among the shortest.  Returns the word as a tuple,
+    or None when no reachable pair satisfies ``goal``.
     """
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        if goal(pair):
-            word = []
-            while parent[pair] is not None:
-                pair, a = parent[pair]
-                word.append(a)
-            word.reverse()
-            return tuple(word)
-        for a in alphabet:
-            nxt = (t1[(pair[0], a)], t2[(pair[1], a)])
-            if nxt not in parent:
-                parent[nxt] = (pair, a)
-                queue.append(nxt)
+    k, n2 = t1.shape[1], t2.shape[0]
+    p1, p2 = np.array([start[0]]), np.array([start[1]])
+    seen = {start[0] * n2 + start[1]}
+    picks = []  # per level: the candidate index of each pair, position * k + letter
+    while len(p1):
+        hit = np.flatnonzero(goal(p1, p2))
+        if len(hit):
+            i, word = hit[0], []
+            for first in reversed(picks):
+                i, a = divmod(int(first[i]), k)
+                word.append(alphabet[a])
+            return tuple(reversed(word))
+        c1, c2 = t1[p1].ravel(), t2[p2].ravel()
+        keys, first = np.unique(c1.astype(np.int64) * n2 + c2, return_index=True)
+        fresh = np.fromiter((key not in seen for key in keys.tolist()), bool, len(keys))
+        seen.update(keys[fresh].tolist())
+        first = np.sort(first[fresh])
+        picks.append(first)
+        p1, p2 = c1[first], c2[first]
     return None
 
 
@@ -268,8 +275,8 @@ def find_forbidden_construction(c: ClassicalAutomaton):
         for q2 in range(n):
             if q1 != q2 and q2 in eligible and merge[q1][q2]:
                 x = _shortest_pair_word(
-                    c.transitions, c.transitions, c.alphabet, (q1, q2),
-                    lambda pair: pair == (q2, q2),
+                    c.table, c.table, c.alphabet, (q1, q2),
+                    lambda p1, p2: (p1 == q2) & (p2 == q2),
                 )
                 return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=x)
     return None
@@ -589,26 +596,51 @@ def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
     return out
 
 
-def to_plain_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
-    """Unfold a halt-on-enter automaton into an equivalent plain DFA on its states.
+def _plain_table(c: ClassicalAutomaton):
+    """``(table, accepting, start)`` of the plain DFA that ``c`` unfolds to.
 
-    A halting state keeps its verdict by looping on every letter, a live
-    state accepts when its right-endmarker move enters an accepting state,
-    and a live start state takes its left-endmarker move first.
+    ``table`` has one column per letter and ``accepting`` is a boolean mask.
+    A halt-on-enter automaton keeps its states: a halting state keeps its
+    verdict by looping on every letter it has no transition on, a state
+    accepts when its right-endmarker move enters an accepting state, and a
+    live start state takes its left-endmarker move first.
     """
+    n, k = c.n_states, len(c.alphabet)
+    accepting = np.zeros(n, dtype=bool)
+    accepting[list(c.accepting)] = True
+    if c.halting_mode == END_OF_WORD:
+        return c.table, accepting, c.start
+    table = c.table[:, :k].copy()
+    halting = np.array(sorted(c.halting), dtype=np.intp)
+    rows = table[halting]
+    table[halting] = np.where(rows >= 0, rows, halting[:, None])
+    right = c.table[:, k + 1]
+    accepting |= (right >= 0) & accepting[right]
+    if c.start in c.halting:
+        return table, accepting, c.start
+    start = int(c.table[c.start, k])
+    if start < 0:
+        raise ValueError(f"start state {c.states[c.start]} has no {LEFT_END!r} transition")
+    return table, accepting, start
+
+
+def to_plain_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
+    """Unfold a halt-on-enter automaton into an equivalent plain DFA on its
+    states, as ``_plain_table`` describes."""
     if c.halting_mode == END_OF_WORD:
         return c
-    transitions = {(s, a): s for s in c.halting for a in c.alphabet}
-    transitions.update((key, t) for key, t in c.transitions.items() if key[1] in c.alphabet)
-    accepting = c.accepting | {
-        s for (s, sym), t in c.transitions.items() if sym == RIGHT_END and t in c.accepting
-    }
+    table, accepting, start = _plain_table(c)
     return ClassicalAutomaton(
         states=tuple(c.states),
         alphabet=tuple(c.alphabet),
-        start=c.start if c.start in c.halting else c.transitions[(c.start, LEFT_END)],
-        accepting=frozenset(accepting),
-        transitions=transitions,
+        start=start,
+        accepting=frozenset(np.flatnonzero(accepting).tolist()),
+        transitions={
+            (s, a): t
+            for a, column in zip(c.alphabet, table.T.tolist())
+            for s, t in enumerate(column)
+            if t >= 0
+        },
         halting_mode=END_OF_WORD,
     )
 
@@ -616,18 +648,17 @@ def to_plain_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
 def dfa_equivalent(c1: ClassicalAutomaton, c2: ClassicalAutomaton):
     """Language equality via product-automaton search.
 
-    Returns (True, None) or (False, shortest distinguishing word).
-    Halt-on-enter automata are unfolded to plain DFAs first.
+    Returns (True, None) or (False, shortest distinguishing word), the least
+    in alphabet order among the shortest.  Halt-on-enter automata are
+    unfolded to plain DFAs first; both must then have every transition.
     """
     if tuple(c1.alphabet) != tuple(c2.alphabet):
         raise ValueError(f"alphabet mismatch: {c1.alphabet} vs {c2.alphabet}")
-    d1 = to_plain_dfa(c1)
-    d2 = to_plain_dfa(c2)
+    t1, acc1, s1 = _plain_table(c1)
+    t2, acc2, s2 = _plain_table(c2)
+    if t1.min(initial=0) < 0 or t2.min(initial=0) < 0:
+        raise ValueError("dfa_equivalent needs automata with every transition")
     word = _shortest_pair_word(
-        d1.transitions,
-        d2.transitions,
-        d1.alphabet,
-        (d1.start, d2.start),
-        lambda pair: (pair[0] in d1.accepting) != (pair[1] in d2.accepting),
+        t1, t2, c1.alphabet, (s1, s2), lambda p1, p2: acc1[p1] != acc2[p2]
     )
     return word is None, word

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,10 +32,14 @@ _PRFA_TOL = 1e-12
 
 
 def _check_alphabet(alphabet):
-    """Every automaton's input alphabet must leave the endmarkers out."""
+    """Every automaton's input alphabet must leave the endmarkers out and
+    name each letter once."""
     for end in (LEFT_END, RIGHT_END):
         if end in alphabet:
             raise ValueError(f"alphabet must not contain the endmarker {end!r}")
+    if len(set(alphabet)) != len(alphabet):
+        repeated = {a for i, a in enumerate(alphabet) if a in alphabet[:i]}
+        raise ValueError(f"alphabet repeats the letters {sorted(repeated)}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +173,37 @@ class ClassicalAutomaton:
         if self.halting_mode == HALT_ON_ENTER:
             return self.accepting | self.rejecting
         return frozenset()
+
+    @property
+    def symbols(self) -> tuple:
+        """The symbols a transition may read: the alphabet, then both
+        endmarkers in halt-on-enter mode."""
+        if self.halting_mode == HALT_ON_ENTER:
+            return tuple(self.alphabet) + (LEFT_END, RIGHT_END)
+        return tuple(self.alphabet)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """``transitions`` as an int32 array: ``table[s, k]`` is the target of
+        state s on ``symbols[k]``, -1 where there is none.
+
+        Built on first use and cached, so ``transitions`` must not be mutated
+        after that.  An entry whose source or target is not a state index, or
+        whose symbol is not in ``symbols``, is left out;
+        ``validate_classical`` reports it.
+        """
+        n, symbols = self.n_states, self.symbols
+        column = {a: k for k, a in enumerate(symbols)}
+        keys = self.transitions.keys()
+        count = len(keys)
+        rows = np.fromiter(map(itemgetter(0), keys), np.int64, count)
+        columns = map(column.get, map(itemgetter(1), keys), itertools.repeat(-1))
+        cols = np.fromiter(columns, np.int64, count)
+        targets = np.fromiter(self.transitions.values(), np.int64, count)
+        kept = (rows >= 0) & (rows < n) & (cols >= 0) & (targets >= 0) & (targets < n)
+        table = np.full((n, len(symbols)), -1, dtype=np.int32)
+        table[rows[kept], cols[kept]] = targets[kept]
+        return table
 
     def state_index(self, name: str) -> int:
         return self.states.index(name)
@@ -334,7 +370,12 @@ def validate(q: QuantumAutomaton, tol: float = linalg.DEFAULT_TOL) -> list:
 
 
 def validate_classical(c: ClassicalAutomaton) -> list:
-    """Invariant report for deterministic automata."""
+    """Invariant report for deterministic automata.
+
+    Missing transitions and transitions out of halting states come in (state,
+    symbol) order; transitions that name no state or no symbol of the
+    automaton come last, in the order of ``transitions``.
+    """
     problems = []
     n = c.n_states
     if not 0 <= c.start < n:
@@ -342,22 +383,32 @@ def validate_classical(c: ClassicalAutomaton) -> list:
     overlap = c.accepting & c.rejecting
     if overlap:
         problems.append(f"accepting/rejecting overlap: {sorted(overlap)}")
-    halting = c.halting
-    symbols = tuple(c.alphabet)
-    if c.halting_mode == HALT_ON_ENTER:
-        symbols = symbols + (LEFT_END, RIGHT_END)
-    for s in range(n):
-        for a in symbols:
-            has = (s, a) in c.transitions
-            if s in halting:
-                if has:
-                    problems.append(f"halting state {c.states[s]} has outgoing transition on {a!r}")
-            elif not has:
-                problems.append(f"missing transition from {c.states[s]} on {a!r}")
-    for (s, a), t in c.transitions.items():
-        if not 0 <= t < n:
-            problems.append(f"transition from {c.states[s]} on {a!r} targets invalid state {t}")
-    return problems
+    for what, group in (("accepting", c.accepting), ("rejecting", c.rejecting)):
+        problems += [f"{what} state index {s} out of range" for s in sorted(group) if not 0 <= s < n]
+    symbols = c.symbols
+    has = c.table >= 0
+    strays = []
+    if np.count_nonzero(has) != len(c.transitions):  # the table left some entry out
+        column = {a: k for k, a in enumerate(symbols)}
+        for (s, a), t in c.transitions.items():
+            if not 0 <= s < n:
+                strays.append(f"transition source index {s} out of range")
+                continue
+            if a not in column:
+                strays.append(f"transition from {c.states[s]} on {a!r}: not a symbol of the automaton")
+            if not 0 <= t < n:
+                strays.append(f"transition from {c.states[s]} on {a!r} targets invalid state {t}")
+                if a in column:  # the transition is there; its target is what is wrong
+                    has[s, column[a]] = True
+    halting = np.zeros(n, dtype=bool)
+    halting[[s for s in c.halting if 0 <= s < n]] = True
+    # a halting state must have no transition, any other state every one
+    for s, k in zip(*np.nonzero(np.where(halting[:, None], has, ~has))):
+        if halting[s]:
+            problems.append(f"halting state {c.states[s]} has outgoing transition on {symbols[k]!r}")
+        else:
+            problems.append(f"missing transition from {c.states[s]} on {symbols[k]!r}")
+    return problems + strays
 
 
 def validate_prfa(p: ProbabilisticAutomaton) -> list:

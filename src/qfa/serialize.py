@@ -11,6 +11,8 @@ an exact round trip.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -25,6 +27,8 @@ from .automata import (
 )
 
 FORMAT_VERSION = 1
+# list items or transition rows per piece of text the classical writer makes
+_PIECE_ITEMS = 4096
 
 
 class FileFormatError(ValueError):
@@ -48,6 +52,13 @@ def _list(doc: dict, key: str) -> list:
     if not isinstance(value, list):
         raise FileFormatError(f"{key} must be a list, got {value!r}")
     return value
+
+
+def _alphabet(doc: dict) -> list:
+    alphabet = _list(doc, "alphabet")
+    if not all(isinstance(a, str) for a in alphabet):
+        raise FileFormatError(f"alphabet must hold strings, got {alphabet!r}")
+    return alphabet
 
 
 def _number(value, what: str) -> float:
@@ -179,7 +190,7 @@ def qfa_from_dict(doc: dict) -> QuantumAutomaton:
     index = _state_index(doc)
     return make_qfa(
         states=doc["states"],
-        alphabet=_list(doc, "alphabet"),
+        alphabet=_alphabet(doc),
         accepting=[_lookup(index, s, "accepting") for s in _list(doc, "accepting")],
         rejecting=[_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")],
         initial=_vector_in(doc["initial"], "initial"),
@@ -208,6 +219,83 @@ def classical_to_dict(c: ClassicalAutomaton) -> dict:
     }
 
 
+def _json_array(items: list):
+    """Pieces of a JSON array of encoded strings, one level deep at indent 1."""
+    if not items:
+        yield "[]"
+        return
+    for lo in range(0, len(items), _PIECE_ITEMS):
+        yield ("[\n  " if lo == 0 else ",\n  ") + ",\n  ".join(items[lo:lo + _PIECE_ITEMS])
+    yield "\n ]"
+
+
+def _json_rows(table: np.ndarray, names: np.ndarray, keys: list):
+    """Pieces of the "transitions" object, one level deep at indent 1.
+
+    ``names`` is an object array of encoded state names and ``keys[k]`` the
+    text before the target of column k.  A row without transitions is left
+    out.  Each block of rows is concatenated column by column.
+    """
+    opened = False
+    for lo in range(0, len(table), _PIECE_ITEMS):
+        block = table[lo:lo + _PIECE_ITEMS]
+        present = block >= 0
+        rows = np.flatnonzero(present.any(axis=1))
+        if not len(rows):
+            continue
+        block, present = block[rows], present[rows]
+        later = np.cumsum(present, axis=1) > present  # an entry comes before it in its row
+        text = ",\n  " + names[lo + rows] + ": {"
+        for k, key in enumerate(keys):
+            entry = np.where(later[:, k], ",", "") + (key + names[block[:, k]])
+            text = np.where(present[:, k], text + entry, text)
+        piece = "".join((text + "\n  }").tolist())
+        yield piece if opened else "{" + piece[1:]
+        opened = True
+    yield "\n }" if opened else "{}"
+
+
+def _classical_text(c: ClassicalAutomaton):
+    """The text of ``json.dump(classical_to_dict(c), fh, indent=1)``, as pieces
+    made from ``c.table``.
+
+    Each name is encoded once.  Rows hold their symbols in sorted order, and
+    a state without transitions has no row, as in the dict.  Refuses, before
+    any text is made, what a file cannot hold or the reader would refuse:
+    names or symbols that are not strings, repeated state names, and
+    transitions that name no state or symbol of the automaton.
+    """
+    symbols = c.symbols
+    if not all(isinstance(x, str) for x in chain(c.states, symbols)):
+        raise FileFormatError("cannot save: state names and symbols must be strings")
+    if len(set(c.states)) != c.n_states:
+        raise FileFormatError("cannot save: duplicate state names")
+    if np.count_nonzero(c.table >= 0) != len(c.transitions):
+        raise FileFormatError("cannot save: a transition names no state or symbol of the automaton")
+    names = list(map(encode_basestring_ascii, c.states))
+    order = sorted(range(len(symbols)), key=symbols.__getitem__)
+    keys = [f"\n   {encode_basestring_ascii(symbols[k])}: " for k in order]
+    kind = "rfa" if c.halting_mode == HALT_ON_ENTER else "dfa"
+
+    def sorted_names(group):
+        return list(map(encode_basestring_ascii, sorted(c.states[i] for i in group)))
+
+    def pieces():
+        yield f'{{\n "format_version": {FORMAT_VERSION},\n "kind": "{kind}",\n "states": '
+        yield from _json_array(names)
+        yield ',\n "alphabet": '
+        yield from _json_array([encode_basestring_ascii(a) for a in c.alphabet])
+        yield f',\n "start": {names[c.start]},\n "accepting": '
+        yield from _json_array(sorted_names(c.accepting))
+        yield ',\n "rejecting": '
+        yield from _json_array(sorted_names(c.rejecting))
+        yield f',\n "halting_mode": {encode_basestring_ascii(c.halting_mode)},\n "transitions": '
+        yield from _json_rows(c.table[:, order], np.array(names, dtype=object), keys)
+        yield "\n}"
+
+    return pieces()
+
+
 def classical_from_dict(doc: dict) -> ClassicalAutomaton:
     kind = doc.get("kind", "dfa")
     _require(doc, f"{kind} file", ("states", "alphabet", "start", "accepting", "transitions"))
@@ -222,7 +310,7 @@ def classical_from_dict(doc: dict) -> ClassicalAutomaton:
         raise FileFormatError(f"unknown halting mode {mode!r}")
     return ClassicalAutomaton(
         states=tuple(doc["states"]),
-        alphabet=tuple(_list(doc, "alphabet")),
+        alphabet=tuple(_alphabet(doc)),
         start=_lookup(index, doc["start"], "start"),
         accepting=frozenset(_lookup(index, s, "accepting") for s in _list(doc, "accepting")),
         rejecting=frozenset(_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")),
@@ -261,7 +349,7 @@ def prfa_from_dict(doc: dict) -> ProbabilisticAutomaton:
             transitions[(s, sym)] = _weighted(index, edges, "a transition")
     return ProbabilisticAutomaton(
         states=tuple(doc["states"]),
-        alphabet=tuple(_list(doc, "alphabet")),
+        alphabet=tuple(_alphabet(doc)),
         initial_distribution=tuple(
             _weighted(index, _list(doc, "initial_distribution"), "initial_distribution")
         ),
@@ -307,8 +395,19 @@ def automaton_from_dict(doc: dict):
 
 
 def save(auto, path: str):
+    """Write ``json.dump(automaton_to_dict(auto), fh, indent=1)`` and a newline.
+
+    A classical automaton is written from its transition table, a bounded
+    number of pieces at a time; the bytes are the same.  One that no file can
+    hold is refused before the file is opened.
+    """
+    text = _classical_text(auto) if isinstance(auto, ClassicalAutomaton) else None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(automaton_to_dict(auto), fh, indent=1)
+        if text is None:
+            json.dump(automaton_to_dict(auto), fh, indent=1)
+        else:
+            for piece in text:
+                fh.write(piece)
         fh.write("\n")
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
 from collections import Counter, deque
 
@@ -112,6 +113,63 @@ def random_minimal_dfa(seed):
     return minimize_dfa(random_dfa(seed, "ab", 2, 5))
 
 
+def reference_shortest_pair_word(t1: dict, t2: dict, alphabet, start: tuple, goal):
+    """Oracle: the dict pair search that ``analysis._shortest_pair_word`` replaced.
+
+    Breadth-first over pairs with the letters tried in alphabet order, so the
+    word is also the least in that order among the shortest.  Returns the
+    word as a tuple, or None when no reachable pair satisfies ``goal``.
+    """
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        if goal(pair):
+            word = []
+            while parent[pair] is not None:
+                pair, a = parent[pair]
+                word.append(a)
+            word.reverse()
+            return tuple(word)
+        for a in alphabet:
+            nxt = (t1[(pair[0], a)], t2[(pair[1], a)])
+            if nxt not in parent:
+                parent[nxt] = (pair, a)
+                queue.append(nxt)
+    return None
+
+
+def reference_to_plain_dfa(c):
+    """Oracle: the dict unfolding that ``to_plain_dfa`` replaced."""
+    if c.halting_mode != HALT_ON_ENTER:
+        return c
+    transitions = {(s, a): s for s in c.halting for a in c.alphabet}
+    transitions.update((key, t) for key, t in c.transitions.items() if key[1] in c.alphabet)
+    accepting = c.accepting | {
+        s for (s, sym), t in c.transitions.items() if sym == RIGHT_END and t in c.accepting
+    }
+    return ClassicalAutomaton(
+        states=tuple(c.states),
+        alphabet=tuple(c.alphabet),
+        start=c.start if c.start in c.halting else c.transitions[(c.start, LEFT_END)],
+        accepting=frozenset(accepting),
+        transitions=transitions,
+    )
+
+
+def reference_dfa_equivalent(c1, c2):
+    """Oracle: ``dfa_equivalent`` as the dict unfolding and the dict pair search."""
+    d1, d2 = reference_to_plain_dfa(c1), reference_to_plain_dfa(c2)
+    word = reference_shortest_pair_word(
+        d1.transitions,
+        d2.transitions,
+        d1.alphabet,
+        (d1.start, d2.start),
+        lambda pair: (pair[0] in d1.accepting) != (pair[1] in d2.accepting),
+    )
+    return word is None, word
+
+
 def per_pair_forbidden(c):
     """Oracle: one forward pair-graph search per (q1, q2), in q1-major order.
 
@@ -124,7 +182,7 @@ def per_pair_forbidden(c):
         for q2 in range(n):
             if q1 == q2 or not eligible[q2]:
                 continue
-            x = analysis._shortest_pair_word(
+            x = reference_shortest_pair_word(
                 c.transitions, c.transitions, c.alphabet, (q1, q2), lambda pair: pair == (q2, q2)
             )
             if x is not None:
@@ -450,6 +508,21 @@ def random_halt_on_enter(seed):
     )
 
 
+def counterexample_pairs():
+    """Pairs of automata, plain and halt-on-enter, told apart by words of many lengths."""
+    rfas = [random_halt_on_enter(seed) for seed in range(30)]
+    pairs = list(itertools.combinations(rfas, 2))
+    pairs += [(rfas[1], random_dfa(seed, "ab", 1, 6)) for seed in range(20)]
+    # one flipped halting verdict of a block-family RFA shows only on longer words
+    rfa = reversibilize(minimize_dfa(block_dfa(2)))
+    for s in sorted(rfa.halting):
+        flipped = dataclasses.replace(
+            rfa, accepting=rfa.accepting ^ {s}, rejecting=rfa.rejecting ^ {s}
+        )
+        pairs += [(rfa, flipped), (block_dfa(2), flipped)]
+    return pairs
+
+
 def words_up_to(alphabet, max_len):
     return itertools.chain.from_iterable(
         itertools.product(alphabet, repeat=k) for k in range(max_len + 1)
@@ -536,6 +609,22 @@ class TestDetectorsAgainstOldSearches:
         assert len(corpus) >= 340
         witnesses = sum(find_prfa_forbidden_construction(c) is not None for c in corpus)
         assert 100 <= witnesses <= len(corpus) - 100
+
+    def test_pair_search_matches_the_dict_search_on_every_pair(self, corpus):
+        """Every (q1, q2) start, not only the detector's first, on the smaller DFAs."""
+        for dfa in corpus:
+            if dfa.n_states > 6:
+                continue
+            for q1, q2 in itertools.permutations(range(dfa.n_states), 2):
+                got = analysis._shortest_pair_word(
+                    dfa.table, dfa.table, dfa.alphabet, (q1, q2),
+                    lambda p1, p2: (p1 == q2) & (p2 == q2),
+                )
+                want = reference_shortest_pair_word(
+                    dfa.transitions, dfa.transitions, dfa.alphabet, (q1, q2),
+                    lambda pair: pair == (q2, q2),
+                )
+                assert got == want, (dfa, q1, q2)
 
     def test_single_word_matches_per_pair_search(self, corpus):
         for dfa in corpus:
@@ -762,6 +851,85 @@ def test_written_block_rfa_bytes_are_pinned(m, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN_RFA_SHA256[m]
 
 
+def oracle_bytes(c) -> bytes:
+    """What ``serialize.save`` wrote before it streamed from the table."""
+    return (json.dumps(serialize.classical_to_dict(c), indent=1) + "\n").encode("utf-8")
+
+
+class TestClassicalWriter:
+    """``serialize.save`` writes classical automata byte for byte as ``json.dump`` of the dict."""
+
+    def assert_same_bytes(self, c, path):
+        serialize.save(c, str(path))
+        assert path.read_bytes() == oracle_bytes(c), c
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_block_rfas(self, m, tmp_path):
+        self.assert_same_bytes(reversibilize(minimize_dfa(block_dfa(m))), tmp_path / "rfa.json")
+
+    def test_differential_corpus(self, tmp_path):
+        corpus = differential_corpus()
+        assert len(corpus) == 347
+        for c in corpus + [block_dfa(3), astar_bstar_dfa()]:
+            self.assert_same_bytes(c, tmp_path / "dfa.json")
+
+    def test_random_halt_on_enter(self, tmp_path):
+        for seed in range(80):
+            self.assert_same_bytes(random_halt_on_enter(seed), tmp_path / "rfa.json")
+
+    def test_empty_parts(self, tmp_path):
+        empty = ClassicalAutomaton(
+            states=("s",), alphabet=(), start=0, accepting=frozenset(), transitions={}
+        )
+        halted = ClassicalAutomaton(
+            states=("s", "t"), alphabet=("a",), start=0, accepting=frozenset({0}),
+            rejecting=frozenset({1}), transitions={}, halting_mode=HALT_ON_ENTER,
+        )
+        partial = dataclasses.replace(
+            reversibilize(block_dfa(2)), accepting=frozenset(), rejecting=frozenset()
+        )
+        for c in (empty, halted, partial):
+            self.assert_same_bytes(c, tmp_path / "c.json")
+
+    def test_names_that_need_escapes(self, tmp_path):
+        names = ('q"1', "back\\slash", "caf\u00e9", "\U0001d538", "tab\tnew\nline", "")
+        symbols = ("\u00e9", '"', "\\", "\U0001d539", "b", "a")
+        transitions = {(s, a): (s + k) % len(names) for s in range(len(names)) for k, a in enumerate(symbols)}
+        c = ClassicalAutomaton(
+            states=names, alphabet=symbols, start=2, accepting=frozenset({0, 3}),
+            transitions=transitions,
+        )
+        self.assert_same_bytes(c, tmp_path / "c.json")
+        self.assert_same_bytes(
+            dataclasses.replace(c, rejecting=frozenset({1}), halting_mode=HALT_ON_ENTER), tmp_path / "r.json"
+        )
+        assert serialize.load(str(tmp_path / "c.json")) == c
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"states": ("s", 1)}, "state names and symbols must be strings"),
+            ({"alphabet": ("a", 2)}, "state names and symbols must be strings"),
+            ({"states": ("s", "s")}, "duplicate state names"),
+            ({"transitions": {(0, "a"): 1, (1, "a"): 0, (0, "c"): 0}}, "names no state or symbol"),
+            ({"transitions": {(0, "a"): 1, (1, "a"): 2}}, "names no state or symbol"),
+        ],
+        ids=["int-name", "int-symbol", "repeated-name", "foreign-symbol", "invalid-target"],
+    )
+    def test_refuses_what_no_file_can_hold(self, tmp_path, change, message):
+        c = dataclasses.replace(
+            ClassicalAutomaton(
+                states=("s", "t"), alphabet=("a",), start=0, accepting=frozenset({1}),
+                transitions={(0, "a"): 1, (1, "a"): 0},
+            ),
+            **change,
+        )
+        path = tmp_path / "c.json"
+        with pytest.raises(serialize.FileFormatError, match=message):
+            serialize.save(c, str(path))
+        assert not path.exists()
+
+
 class TestReversibilizeBudget:
     """The state budget counts live states at the start of each round."""
 
@@ -809,6 +977,27 @@ class TestReversibilizeBudget:
 class TestPlainUnfolding:
     """``to_plain_dfa`` must accept exactly what ``run_dfa`` accepts in halt-on-enter mode."""
 
+    def test_matches_the_dict_unfolding(self):
+        rfas = [random_halt_on_enter(seed) for seed in range(80)]
+        rfas += [reversibilize(minimize_dfa(block_dfa(m))) for m in (1, 2, 3)]
+        # rows the validator refuses unfold as before: a halting state's own
+        # edges beat its self-loops, and a missing live edge stays missing
+        for seed in range(40):
+            rng = random.Random(seed)
+            rfa = random_halt_on_enter(seed)
+            transitions = dict(rfa.transitions)
+            for s in rfa.halting:
+                transitions[(s, rng.choice("ab$"))] = rng.randrange(rfa.n_states)
+            for key in rng.sample(sorted(transitions), len(transitions) // 4):
+                if key != (rfa.start, LEFT_END):
+                    del transitions[key]
+            rfas.append(dataclasses.replace(rfa, transitions=transitions))
+        for rfa in rfas:
+            got, want = to_plain_dfa(rfa), reference_to_plain_dfa(rfa)
+            assert (got.start, got.accepting, got.transitions) == (
+                want.start, want.accepting, want.transitions
+            ), rfa
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_reversibilized_block_family(self, m):
         rfa = reversibilize(block_dfa(m))
@@ -848,18 +1037,8 @@ class TestDfaEquivalent:
                     return word
             return None
 
-        rfas = [random_halt_on_enter(seed) for seed in range(30)]
-        pairs = list(itertools.combinations(rfas, 2))
-        pairs += [(rfas[1], random_dfa(seed, "ab", 1, 6)) for seed in range(20)]
-        # one flipped halting verdict of a block-family RFA shows only on longer words
-        rfa = reversibilize(minimize_dfa(block_dfa(2)))
-        for s in sorted(rfa.halting):
-            flipped = dataclasses.replace(
-                rfa, accepting=rfa.accepting ^ {s}, rejecting=rfa.rejecting ^ {s}
-            )
-            pairs += [(rfa, flipped), (block_dfa(2), flipped)]
         lengths = set()
-        for c1, c2 in pairs:
+        for c1, c2 in counterexample_pairs():
             same, word = dfa_equivalent(c1, c2)
             expected = brute_force_counterexample(c1, c2)
             if expected is None:
@@ -868,6 +1047,25 @@ class TestDfaEquivalent:
                 assert (same, word) == (False, expected), (c1, c2)
                 lengths.add(len(word))
         assert lengths >= {0, 1, 2, 3, 4, 5}
+
+    def test_matches_the_dict_search(self):
+        """The level-synchronous array search finds the dict search's word."""
+        corpus = differential_corpus()
+        pairs = counterexample_pairs()
+        pairs += [(block_dfa(m), reversibilize(minimize_dfa(block_dfa(m)))) for m in range(1, 6)]
+        pairs += [(c, minimize_dfa(c)) for c in corpus[:40]]
+        pairs += [(c1, c2) for c1, c2 in zip(corpus, corpus[1:]) if c1.alphabet == c2.alphabet]
+        words = Counter()
+        for c1, c2 in pairs:
+            got = dfa_equivalent(c1, c2)
+            assert got == reference_dfa_equivalent(c1, c2), (c1, c2)
+            words[len(got[1]) if got[1] is not None else None] += 1
+        assert words[None] >= 50 and len(words) >= 6
+
+    def test_needs_every_transition(self):
+        partial = dataclasses.replace(astar_dfa(), transitions={(0, "a"): 0})
+        with pytest.raises(ValueError, match="every transition"):
+            dfa_equivalent(astar_dfa(), partial)
 
     def test_unfolds_halting_automata(self):
         r = reversibilize(minimize_dfa(block_dfa(2)))

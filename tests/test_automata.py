@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from qfa import automata, linalg, semantics
 from qfa.analysis import reversibilize
 from qfa.automata import (
+    END_OF_WORD,
     HALT_ON_ENTER,
     LEFT_END,
     RIGHT_END,
@@ -492,6 +494,151 @@ class TestClassicalValidation:
             transitions={(0, "a"): 0},
         )
         assert any("missing" in p for p in validate_classical(c))
+
+    def test_transitions_outside_the_automaton_flagged(self):
+        c = ClassicalAutomaton(
+            states=("p", "q"),
+            alphabet=("a",),
+            start=0,
+            accepting=frozenset({1, 5}),
+            rejecting=frozenset({-1}),
+            transitions={(0, "a"): 1, (0, "c"): 0, (1, "a"): 1, (1, RIGHT_END): 0, (2, "a"): 0},
+        )
+        assert validate_classical(c) == [
+            "accepting state index 5 out of range",
+            "rejecting state index -1 out of range",
+            "transition from p on 'c': not a symbol of the automaton",
+            "transition from q on '$': not a symbol of the automaton",
+            "transition source index 2 out of range",
+        ]
+
+    def test_halting_index_out_of_range_is_reported(self):
+        c = ClassicalAutomaton(
+            states=("s",),
+            alphabet=("a",),
+            start=0,
+            accepting=frozenset({3}),
+            transitions={(0, "a"): 0, (0, LEFT_END): 0, (0, RIGHT_END): 0},
+            halting_mode=HALT_ON_ENTER,
+        )
+        assert validate_classical(c) == ["accepting state index 3 out of range"]
+
+    @pytest.fixture(scope="class")
+    def malformed(self):
+        """Seeded automata with every kind of fault the validator reports."""
+        out = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 5)
+            alphabet = tuple(rng.sample("abc", rng.randint(0, 3)))
+            mode = rng.choice((END_OF_WORD, HALT_ON_ENTER))
+            keys = [(s, a) for s in range(-1, n + 1) for a in alphabet + ("d", LEFT_END, RIGHT_END)]
+            weight = rng.random()
+            transitions = {}
+            for key in rng.sample(keys, len(keys)):  # shuffled, so dict order matters
+                in_range = 0 <= key[0] < n
+                if rng.random() < (weight if in_range else weight / 8):
+                    transitions[key] = rng.choice(
+                        [rng.randrange(n)] * 12 + [-2, -1, n, n + 3]
+                    )
+            out.append(ClassicalAutomaton(
+                states=tuple(f"s{i}" for i in range(n)),
+                alphabet=alphabet,
+                start=rng.choice([0, 0, 0, n - 1, -1, n]),
+                accepting=frozenset(rng.sample(range(-1, n + 1), rng.randint(0, 2))),
+                rejecting=frozenset(rng.sample(range(-1, n + 1), rng.randint(0, 2))),
+                transitions=transitions,
+                halting_mode=mode,
+            ))
+        return out
+
+    def test_problems_match_the_dict_loop(self, malformed):
+        kinds = {
+            "start state out of range", "overlap", "index", "halting state", "missing",
+            "invalid state", "not a symbol",
+        }
+        seen = set()
+        for c in malformed:
+            problems = validate_classical(c)
+            assert problems == reference_validate_classical(c), c
+            seen.update(kind for p in problems for kind in kinds if kind in p)
+        assert seen == kinds
+
+    def test_clean_automata_validate(self):
+        for m in (1, 2, 3):
+            rfa = reversibilize(block_dfa(m))
+            assert validate_classical(rfa) == reference_validate_classical(rfa) == []
+
+
+def reference_validate_classical(c: ClassicalAutomaton) -> list:
+    """Oracle: ``validate_classical`` as a loop over (state, symbol) keys, as it
+    was before it read the table, with the checks added since appended in the
+    same places: state indices out of range, and transitions that name no
+    state or no symbol of the automaton."""
+    problems = []
+    n = c.n_states
+    if not 0 <= c.start < n:
+        problems.append("start state out of range")
+    overlap = c.accepting & c.rejecting
+    if overlap:
+        problems.append(f"accepting/rejecting overlap: {sorted(overlap)}")
+    for what, group in (("accepting", c.accepting), ("rejecting", c.rejecting)):
+        for s in sorted(group):
+            if not 0 <= s < n:
+                problems.append(f"{what} state index {s} out of range")
+    halting = c.halting
+    symbols = tuple(c.alphabet)
+    if c.halting_mode == HALT_ON_ENTER:
+        symbols = symbols + (LEFT_END, RIGHT_END)
+    for s in range(n):
+        for a in symbols:
+            has = (s, a) in c.transitions
+            if s in halting:
+                if has:
+                    problems.append(f"halting state {c.states[s]} has outgoing transition on {a!r}")
+            elif not has:
+                problems.append(f"missing transition from {c.states[s]} on {a!r}")
+    for (s, a), t in c.transitions.items():
+        if not 0 <= s < n:
+            problems.append(f"transition source index {s} out of range")
+            continue
+        if a not in symbols:
+            problems.append(f"transition from {c.states[s]} on {a!r}: not a symbol of the automaton")
+        if not 0 <= t < n:
+            problems.append(f"transition from {c.states[s]} on {a!r} targets invalid state {t}")
+    return problems
+
+
+@pytest.mark.parametrize(
+    "alphabet, repeated", [(("a", "a"), ["a"]), (("b", "a", "c", "a", "b"), ["a", "b"])]
+)
+def test_repeated_letters_refused_in_every_alphabet(alphabet, repeated):
+    message = re.escape(f"alphabet repeats the letters {repeated}")
+    with pytest.raises(ValueError, match=message):
+        ClassicalAutomaton(
+            states=("s",), alphabet=alphabet, start=0, accepting=frozenset(),
+            transitions={(0, "a"): 0},
+        )
+    with pytest.raises(ValueError, match=message):
+        ProbabilisticAutomaton(
+            states=("s",), alphabet=alphabet, initial_distribution=((0, 1.0),),
+            accepting=frozenset(), rejecting=frozenset(), transitions={},
+        )
+    with pytest.raises(ValueError, match=message):
+        make_qfa(
+            states=("q0",), alphabet=alphabet, accepting=(), rejecting=(), initial=(1.0,),
+            partial_unitaries={},
+        )
+
+
+def test_table_holds_the_transitions():
+    rfa = reversibilize(block_dfa(2))
+    assert rfa.symbols == tuple(rfa.alphabet) + (LEFT_END, RIGHT_END)
+    assert rfa.table.dtype == np.int32 and rfa.table.shape == (rfa.n_states, len(rfa.symbols))
+    want = np.full(rfa.table.shape, -1)
+    for (s, a), t in rfa.transitions.items():
+        want[s, rfa.symbols.index(a)] = t
+    assert np.array_equal(rfa.table, want)
 
 
 @pytest.mark.parametrize("end", [LEFT_END, RIGHT_END])

@@ -451,6 +451,62 @@ class TestMalformedFiles:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert f"alphabet must not contain the endmarker {end!r}" in err
 
+    @pytest.mark.parametrize("kind", ["qfa", "dfa", "prfa"])
+    @pytest.mark.parametrize(
+        "alphabet, message",
+        [
+            (["a", "a"], "alphabet repeats the letters ['a']"),
+            (["a", 1], "alphabet must hold strings, got ['a', 1]"),
+            ([["a"]], "alphabet must hold strings, got [['a']]"),
+        ],
+        ids=["repeated", "number", "list"],
+    )
+    def test_alphabet_letters(self, tmp_path, capsys, example_file, kind, alphabet, message):
+        if kind == "qfa":
+            doc = json.loads(open(example_file).read())
+            doc["alphabet"] = alphabet
+        else:
+            doc = dict(self.DFA if kind == "dfa" else self.PRFA, alphabet=alphabet)
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
+    RFA = {
+        "format_version": 1,
+        "kind": "rfa",
+        "states": ["x", "acc"],
+        "alphabet": ["a"],
+        "start": "x",
+        "accepting": ["acc"],
+        "halting_mode": "halt-on-enter",
+        "transitions": {"x": {"a": "x", "^": "x", "$": "acc"}},
+    }
+
+    @pytest.mark.parametrize(
+        "kind, row, symbol",
+        [
+            ("dfa", {"a": "x", "c": "x"}, "c"),
+            ("dfa", {"a": "x", "$": "x"}, "$"),
+            ("rfa", {"a": "x", "^": "x", "$": "acc", "b": "acc"}, "b"),
+        ],
+        ids=["dfa-letter", "dfa-endmarker", "rfa-letter"],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "equiv", "run"])
+    def test_transition_outside_the_alphabet(self, tmp_path, capsys, kind, row, symbol, command):
+        doc = dict(self.DFA if kind == "dfa" else self.RFA, transitions={"x": row})
+        out = tmp_path / "out.json"
+        argv = {
+            "analyze": ["analyze", "--reversibilize", str(out)],
+            "equiv": ["equiv", str(tmp_path / "bad.json")],
+            "run": ["run", "a"],
+        }[command]
+        assert self.run_on(tmp_path, doc, argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"transition from x on {symbol!r}: not a symbol of the automaton" in err
+        assert not out.exists()
+
     def test_validation_failure_is_one_line(self, tmp_path, capsys):
         doc = {
             "format_version": 1,

@@ -1,5 +1,5 @@
-"""Time the analysis layers: the two-word detector, reversibilization and
-the equivalence check.
+"""Time the analysis layers: the two-word detector, reversibilization, the
+RFA file and the equivalence check.
 
     python tools/bench_analysis.py [--src DIR] [--label NAME]
 
@@ -7,10 +7,17 @@ Times ``find_prfa_forbidden_construction``, which enumerates the transition
 monoid and scans it as ``qfa analyze`` does, on two DFAs generated without
 randomness: S_7 on a transposition and a 7-cycle (5,040 elements, no
 witness), and the full transformation monoid of 6 states, from the same two
-permutations and a letter merging state 0 into state 1 (46,656 elements).  For m = 8 ... 12, times
-``reversibilize(minimize_dfa(block_dfa(m)))`` and
-``dfa_equivalent(block_dfa(m), rfa)`` on the RFA it returns.  The minimal
-DFA is built once per m and is not part of the reversibilize timing.
+permutations and a letter merging state 0 into state 1 (46,656 elements).
+For m = 8 ... 12, on the RFA ``rfa = reversibilize(minimize_dfa(block_dfa(m)))``,
+times:
+
+- ``reversibilize`` itself; the minimal DFA is built once per m, untimed;
+- ``serialize.save(rfa)``, each call on a fresh copy of the automaton, so
+  whatever it builds and caches on first use is timed too;
+- ``serialize.load`` of that file;
+- ``validate_classical``, ``dfa_equivalent(block_dfa(m), rfa)``, and the two
+  in a row as ``qfa equiv`` runs them, each call on an RFA freshly loaded
+  from the file (the load is not timed).
 
 Each timing gets one warm-up call, then 7 timed calls; the median and
 quartiles are reported in milliseconds, with the number of RFA states.
@@ -24,9 +31,11 @@ labels already in the file are kept.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 from bench_runners import ROOT, machine_info, store_result
@@ -58,13 +67,17 @@ def generated_dfa(n: int, merge: bool):
     )
 
 
-def time_call(fn, runs):
-    """Median and quartiles of ``runs`` timed calls after one warm-up, and the last result."""
-    result = fn()
+def time_call(fn, runs, setup=lambda: None):
+    """Median and quartiles of ``runs`` timed calls after one warm-up, and the last result.
+
+    Each call is ``fn(setup())``; ``setup`` is not timed.
+    """
+    result = fn(setup())
     times = []
     for _ in range(runs):
+        arg = setup()
         t0 = time.perf_counter()
-        result = fn()
+        result = fn(arg)
         times.append((time.perf_counter() - t0) * 1e3)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return {"median_ms": round(median, 3), "q1_ms": round(q1, 3), "q3_ms": round(q3, 3)}, result
@@ -78,25 +91,44 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
-    from qfa import analysis, constructions
+    from qfa import analysis, constructions, serialize
+    from qfa.automata import validate_classical
 
     monoids = []
     for name, n, merge in (("S7", 7, False), ("full-transformation-6", 6, True)):
         dfa = generated_dfa(n, merge)
         elements = len(analysis.transition_monoid(dfa))  # untimed
-        detector, _ = time_call(lambda: analysis.find_prfa_forbidden_construction(dfa), RUNS)
+        detector, _ = time_call(lambda _: analysis.find_prfa_forbidden_construction(dfa), RUNS)
         monoids.append({"dfa": name, "elements": elements, "find_prfa_forbidden_construction": detector})
         print(name, elements, detector["median_ms"], file=sys.stderr)
 
     rows = []
-    for m in BLOCK_SIZES:
-        dfa = constructions.block_dfa(m)
-        minimal = analysis.minimize_dfa(dfa)
-        rev, rfa = time_call(lambda: analysis.reversibilize(minimal), RUNS)
-        equiv, (same, _) = time_call(lambda: analysis.dfa_equivalent(dfa, rfa), RUNS)
-        assert same, f"block_dfa({m}) and its RFA differ"
-        rows.append({"m": m, "rfa_states": rfa.n_states, "reversibilize": rev, "dfa_equivalent": equiv})
-        print(f"m={m}", rfa.n_states, rev["median_ms"], equiv["median_ms"], file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rfa.json")
+        for m in BLOCK_SIZES:
+            dfa = constructions.block_dfa(m)
+            minimal = analysis.minimize_dfa(dfa)
+            row = {"m": m}
+            row["reversibilize"], rfa = time_call(lambda _: analysis.reversibilize(minimal), RUNS)
+            row["rfa_states"] = rfa.n_states
+            row["save"], _ = time_call(lambda r: serialize.save(r, path), RUNS, lambda: dataclasses.replace(rfa))
+            row["file_bytes"] = os.path.getsize(path)
+            row["load"], _ = time_call(lambda _: serialize.load(path), RUNS)
+
+            def fresh():
+                return serialize.load(path)
+
+            row["validate_classical"], problems = time_call(validate_classical, RUNS, fresh)
+            row["dfa_equivalent"], (same, _) = time_call(lambda r: analysis.dfa_equivalent(dfa, r), RUNS, fresh)
+            assert problems == [] and same, f"block_dfa({m}) and its RFA differ"
+            row["validate_and_equivalent"], _ = time_call(
+                lambda r: (validate_classical(r), analysis.dfa_equivalent(dfa, r)), RUNS, fresh
+            )
+            rows.append(row)
+            print(f"m={m}", rfa.n_states, *(row[k]["median_ms"] for k in (
+                "reversibilize", "save", "load", "validate_classical", "dfa_equivalent",
+                "validate_and_equivalent",
+            )), file=sys.stderr)
 
     store_result(OUT, args.label, {
         "machine": machine_info(np),
@@ -105,7 +137,12 @@ def main(argv=None) -> int:
                                "monoid of 6 states from the same permutations and a merge 0 -> 1",
             "automata": f"block_dfa(m) for m = {BLOCK_SIZES.start}..{BLOCK_SIZES.stop - 1}",
             "reversibilize": "reversibilize(minimize_dfa(block_dfa(m))), minimization not timed",
-            "dfa_equivalent": "dfa_equivalent(block_dfa(m), rfa)",
+            "save": "serialize.save(rfa, path) on a fresh copy of rfa per call (nothing cached)",
+            "load": "serialize.load(path)",
+            "validate_classical": "validate_classical(rfa) on an rfa freshly loaded per call",
+            "dfa_equivalent": "dfa_equivalent(block_dfa(m), rfa) on an rfa freshly loaded per call",
+            "validate_and_equivalent": "validate_classical(rfa) then dfa_equivalent(block_dfa(m), rfa), "
+                                       "as qfa equiv runs them, on an rfa freshly loaded per call",
             "warmup_calls": 1,
             "runs": RUNS,
             "statistic": "median and quartiles over runs of one call, milliseconds",
