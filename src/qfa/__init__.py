@@ -28,7 +28,6 @@ from .analysis import (
     find_prfa_forbidden_construction,
     minimize_dfa,
     reversibilize,
-    transition_monoid,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "run_multiscan",
     "run_prefixes",
     "run_prfa",
-    "transition_monoid",
     "tv_distance",
     "validate",
 ]

@@ -18,10 +18,9 @@ from .automata import (
     END_OF_WORD,
     HALT_ON_ENTER,
     LEFT_END,
-    RIGHT_END,
     ClassicalAutomaton,
+    _in_edges,
     is_reversible,
-    non_reversibilities,
 )
 from .linalg import CapacityError
 
@@ -50,43 +49,37 @@ class ConstructionWitness:
     y: tuple = None
 
 
-@dataclass(frozen=True)
-class MonoidElement:
-    """A state mapping realized by some word, with a shortest witness."""
-
-    mapping: tuple
-    word: tuple
-
-
 def _require_plain(c: ClassicalAutomaton, what: str):
     if c.halting_mode != END_OF_WORD:
         raise ValueError(f"{what} expects a plain end-of-word DFA")
 
 
-def _step_word(c: ClassicalAutomaton, state: int, word) -> int:
-    for sym in word:
-        state = c.transitions[(state, sym)]
-    return state
+def _reach(adj: np.ndarray, seeds, ptr=None) -> np.ndarray:
+    """Boolean mask of the nodes reachable from ``seeds``, seeds included.
 
-
-def _reachable(transitions: dict, alphabet, origin: int) -> set:
-    """States reachable from origin (inclusive) via existing transitions."""
-    seen = {origin}
-    frontier = [origin]
-    while frontier:
-        s = frontier.pop()
-        for a in alphabet:
-            t = transitions.get((s, a))
-            if t is not None and t not in seen:
-                seen.add(t)
-                frontier.append(t)
+    Node v has the edges to ``adj[ptr[v]:ptr[v + 1]]`` or, when ``ptr`` is
+    None, to the row ``adj[v]`` of a transition table; a negative entry is
+    no edge.  The search expands one frontier at a time.
+    """
+    if ptr is None:
+        ptr, adj = adj.shape[1] * np.arange(len(adj) + 1), adj.ravel()
+    seen = np.zeros(len(ptr) - 1, dtype=bool)
+    seen[seeds] = True
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        lo, size = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        ends = np.cumsum(size)
+        nxt = adj[np.arange(ends[-1]) + np.repeat(lo - ends + size, size)]
+        nxt = nxt[nxt >= 0]
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
     return seen
 
 
 def minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
     """Unique minimal DFA for the same language, states renamed in BFS order."""
     _require_plain(c, "minimize_dfa")
-    alive = sorted(_reachable(c.transitions, c.alphabet, c.start))
+    alive = np.flatnonzero(_reach(c.table, [c.start])).tolist()
 
     # Hopcroft refinement over the reachable part
     inverse = {}
@@ -165,20 +158,11 @@ def _fates(c: ClassicalAutomaton):
     accepting states, classify every state in O(n·|Σ|).  The forbidden
     constructions need states in neither set.
     """
-    entering = [[] for _ in c.states]
-    for (s, _), t in c.transitions.items():
-        entering[t].append(s)
-    fates = []
-    for targets in (set(range(c.n_states)) - c.accepting, c.accepting):
-        seen = set(targets)  # the states some word takes into targets
-        frontier = list(seen)
-        while frontier:
-            for s in entering[frontier.pop()]:
-                if s not in seen:
-                    seen.add(s)
-                    frontier.append(s)
-        fates.append(set(range(c.n_states)) - seen)
-    return fates
+    source, target, _, _ = _in_edges(c.table)
+    ptr = np.searchsorted(target, np.arange(c.n_states + 1))
+    accepting = np.zeros(c.n_states, dtype=bool)
+    accepting[sorted(c.accepting)] = True
+    return [set(np.flatnonzero(~_reach(source, seeds, ptr)).tolist()) for seeds in (~accepting, accepting)]
 
 
 def _facts(c: ClassicalAutomaton):
@@ -237,9 +221,9 @@ def _merge_table(c: ClassicalAutomaton) -> list:
     """
     n = c.n_states
     preds = [[[] for _ in range(n)] for _ in c.alphabet]
-    for k, a in enumerate(c.alphabet):
-        for s in range(n):
-            preds[k][c.transitions[(s, a)]].append(s)
+    for k, column in enumerate(c.table.T.tolist()):
+        for s, t in enumerate(column):
+            preds[k][t].append(s)
     merge = [[False] * n for _ in range(n)]
     for q2 in range(n):
         seen = bytearray(n * n)
@@ -309,9 +293,7 @@ def _monoid(c: ClassicalAutomaton, cap: int):
     """
     n, k = c.n_states, len(c.alphabet)
     dtype = np.min_scalar_type(max(n - 1, 0))
-    images = np.array(
-        [[c.transitions[(s, a)] for s in range(n)] for a in c.alphabet], dtype=dtype
-    ).reshape(k, n)
+    images = c.table.T.astype(dtype)
     level = np.arange(n, dtype=dtype)[None]
     seen = _row_keys(level)  # sorted keys of every element so far
     levels, parents, letters, starts = [level], [np.array([-1])], [np.array([-1])], [0, 1]
@@ -343,21 +325,6 @@ def _word(alphabet, parent, letter, i: int) -> tuple:
         word.append(alphabet[letter[i]])
         i = parent[i]
     return tuple(reversed(word))
-
-
-def transition_monoid(c: ClassicalAutomaton, cap: int = DEFAULT_MONOID_CAP):
-    """All distinct state mappings realized by words, with shortest witnesses.
-
-    Enumerated by BFS over composition with the generator symbols, so each
-    witness is shortest and lexicographically least among shortest.  Raises
-    CapacityError exactly when the monoid has more than ``cap`` elements.
-    """
-    _require_plain(c, "transition_monoid")
-    elements, parent, letter, _ = _monoid(c, cap)
-    words = [()]
-    for p, a in zip(parent[1:].tolist(), letter[1:].tolist()):
-        words.append(words[p] + (c.alphabet[a],))
-    return [MonoidElement(mapping=tuple(m), word=w) for m, w in zip(elements.tolist(), words)]
 
 
 def _scan_order(alphabet, parent, letter, starts) -> np.ndarray:
@@ -450,35 +417,70 @@ def find_prfa_forbidden_construction(c: ClassicalAutomaton, cap: int = DEFAULT_M
     )
 
 
-def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
-    """Replay a witness's words on the automaton and re-check its conditions."""
-    q1 = c.state_index(w.q1)
-    q2 = c.state_index(w.q2)
-    eligible = set(range(c.n_states)).difference(*_fates(c))
-    if q1 == q2 or q2 not in eligible:
-        return False
-    if w.y is None:
-        return _step_word(c, q1, w.x) == q2 and _step_word(c, q2, w.x) == q2
-    if q1 not in eligible:
-        return False
-    if _step_word(c, q1, w.x) != q1:
-        return False
-    if _step_word(c, q1, w.y) != q2 or _step_word(c, q2, w.y) != q2:
-        return False
-    # an independent walk, not the detector's array pass: x^k returns q2 to q2
-    # for some k <= n exactly when q2 lies on a cycle of x
-    x = [_step_word(c, s, w.x) for s in range(c.n_states)]
-    cur = x[q2]
-    for _ in range(c.n_states):
-        if cur == q2:
-            return False
-        cur = x[cur]
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Reversibilization
 # ---------------------------------------------------------------------------
+
+
+def _split_rounds(c: ClassicalAutomaton):
+    """The rounds of ``reversibilize`` on a growing int32 table.
+
+    Each round groups the edges by (target q, symbol a); a group of two or
+    more sources is a non-reversibility.  One backward search from all
+    sources marks the q that reach one, and of the other groups the least
+    by (two smallest source names, name of q, a) is resolved: the region
+    reachable from q is appended twice in name order and retired.  Returns
+    ``(table, names, origin, start, rounds)``, retired rows included;
+    ``origin[s]`` is the state of c that s copies, -1 once retired.
+    """
+    halt_accept, halt_reject, _ = _facts(c)
+    k = len(c.alphabet)
+    names = list(c.states)
+    table = c.table.copy()
+    table[sorted(halt_accept | halt_reject)] = -1
+    origin = np.arange(c.n_states)
+    size, n_live, start, rounds = c.n_states, c.n_states, c.start, 0
+    while True:
+        source, target, column, first = _in_edges(table[:size])
+        ends = np.append(first[1:], len(source))
+        counts = ends - first
+        if counts.max(initial=0) < 2:
+            return table[:size], names, origin[:size], start, rounds
+        if n_live > MAX_REVERSIBILIZED_STATES:
+            raise CapacityError("reversibilization exceeded the state budget")
+        ptr = np.searchsorted(target, np.arange(size + 1))  # predecessors: source[ptr[v]:ptr[v + 1]]
+        reaches_source = _reach(source, source[np.repeat(counts > 1, counts)], ptr)
+        maximal = (counts > 1) & ~reaches_source[target[first]]
+        candidates = []
+        for lo, hi in zip(first[maximal].tolist(), ends[maximal].tolist()):
+            q1, q2 = sorted(source[lo:hi].tolist(), key=names.__getitem__)[:2]
+            q, a = int(target[lo]), int(column[lo])
+            candidates.append(((names[q1], names[q2], names[q], c.alphabet[a]), q1, q2, q, a))
+        assert candidates, "partial order on non-reversibilities has no maximal element"
+        _, q1, q2, q, a = min(candidates)
+        in_region = _reach(table[:size], [q])
+        # the forbidden-construction precondition keeps the sources out of the region
+        assert not in_region[q1] and not in_region[q2]
+        region = np.array(sorted(np.flatnonzero(in_region).tolist(), key=names.__getitem__))
+        r = len(region)
+        if size + 2 * r > len(table):  # rows past size are written before they are read
+            grow = len(table) + max(len(table), 2 * r)
+            table, origin = np.resize(table, (grow, k)), np.resize(origin, grow)
+        copy0 = np.zeros(size, dtype=np.int32)
+        copy0[region] = size + np.arange(r)
+        rows = table[region]
+        table[size:size + r] = np.where(rows >= 0, copy0[rows], -1)
+        table[size + r:size + 2 * r] = np.where(rows >= 0, copy0[rows] + r, -1)
+        table[region] = -1
+        old = table[:size]
+        into = (old >= 0) & in_region[old]
+        old[into] = copy0[old[into]]
+        table[q2, a] = copy0[q] + r
+        start = int(copy0[start]) if in_region[start] else start
+        origin[size:size + 2 * r] = np.tile(origin[region], 2)
+        origin[region] = -1
+        names += [f"{names[s]}#{copy}" for copy in (0, 1) for s in region.tolist()]
+        size, n_live, rounds = size + 2 * r, n_live + r, rounds + 1
 
 
 def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
@@ -499,100 +501,36 @@ def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
         raise NotReversibilizableError(
             "minimal automaton contains the forbidden construction; no reversible equivalent exists"
         )
-
-    halt_accept, halt_reject, _ = _facts(c)
-    names = list(c.states)
-    origin = list(range(c.n_states))  # the state of c that each state copies
-    # states whose every continuation is accepted (or rejected) halt immediately
-    halting = halt_accept | halt_reject
-    transitions = {key: t for key, t in c.transitions.items() if key[0] not in halting}
-    start = c.start
-
-    # duplicated originals lose every edge and are renumbered away at the end
-    retired = set()
-    while True:
-        tuples = non_reversibilities(transitions, key=names.__getitem__)
-        if not tuples:
-            break
-        if len(names) - len(retired) > MAX_REVERSIBILIZED_STATES:
-            raise CapacityError("reversibilization exceeded the state budget")
-        reach = {}
-        for (_, _, q, _) in tuples:
-            if q not in reach:
-                reach[q] = _reachable(transitions, c.alphabet, q)
-        # a tuple is maximal when no tuple's source is reachable from its
-        # target; its own sources never are, by the precondition asserted below
-        sources = {s for t in tuples for s in t[:2]}
-        maximal = [t for t in tuples if sources.isdisjoint(reach[t[2]])]
-        assert maximal, "partial order on non-reversibilities has no maximal element"
-        q1, q2, q, a = min(
-            maximal, key=lambda t: (names[t[0]], names[t[1]], names[t[2]], t[3])
-        )
-        region_set = reach[q]
-        region = sorted(region_set, key=names.__getitem__)
-        # sources of the chosen tuple cannot sit in the duplicated region, or
-        # the forbidden-construction precondition would have been violated
-        assert q1 not in region_set and q2 not in region_set
-        copy_index = {}
-        for copy in (0, 1):
-            for s in region:
-                copy_index[(s, copy)] = len(names)
-                names.append(f"{names[s]}#{copy}")
-                origin.append(origin[s])
-        # edges inside the region stay within each copy
-        for s in region:
-            for sym in c.alphabet:
-                t = transitions.pop((s, sym), None)
-                if t is None:
-                    continue
-                for copy in (0, 1):
-                    transitions[(copy_index[(s, copy)], sym)] = copy_index[(t, copy)]
-        # edges from outside: the resolved pair splits, everything else joins copy 0
-        for (s, sym), t in list(transitions.items()):
-            if s in region_set or t not in region_set:
-                continue
-            if (s, sym) == (q2, a) and t == q:
-                transitions[(s, sym)] = copy_index[(t, 1)]
-            else:
-                transitions[(s, sym)] = copy_index[(t, 0)]
-        if start in region_set:
-            start = copy_index[(start, 0)]
-        retired |= region_set
-
-    # drop the retired originals; copies were appended in order, so this is
-    # the numbering a compaction after every round would give
-    keep = [s for s in range(len(names)) if s not in retired]
-    del retired  # not needed past here; freed before the reversibility check peaks
-    remap = {old: new for new, old in enumerate(keep)}
-    names = [names[s] for s in keep]
-    origin = [origin[s] for s in keep]
-    transitions = {(remap[s], sym): remap[t] for (s, sym), t in transitions.items()}
-    start = remap[start]
+    rounds_table, names, origin, start, _ = _split_rounds(c)
+    # drop the retired rows, numbering the rest as a compaction after every round would
+    keep = np.flatnonzero(origin >= 0)
+    remap = np.cumsum(origin >= 0, dtype=np.int32) - 1  # no edge enters a retired state
+    names, origin, n, k = [names[s] for s in keep.tolist()], origin[keep], len(keep), len(c.alphabet)
 
     # halt-on-enter form: identity left endmarker, per-state halting sinks
-    accepting = {s for s, o in enumerate(origin) if o in halt_accept}
-    rejecting = {s for s, o in enumerate(origin) if o in halt_reject}
-    for s, o in enumerate(origin):
-        if o in halting:
-            continue
-        verdict, group = ("acc", accepting) if o in c.accepting else ("rej", rejecting)
-        group.add(len(names))
-        transitions[(s, LEFT_END)] = s
-        transitions[(s, RIGHT_END)] = len(names)
-        names.append(f"{verdict}({names[s]})")
-
-    out = ClassicalAutomaton(
+    fate = np.zeros(c.n_states, dtype=np.int8)  # 1 accepting, 2 all-accepting, 3 all-rejecting
+    halt_accept, halt_reject, _ = _facts(c)
+    for value, group in ((1, c.accepting), (2, halt_accept), (3, halt_reject)):
+        fate[sorted(group)] = value
+    fate = fate[origin]
+    alive = np.flatnonzero(fate < 2)
+    sinks = n + np.arange(len(alive))
+    verdicts = fate[alive] == 1
+    table = np.full((n + len(alive), k + 2), -1, dtype=np.int32)
+    table[:n, :k] = np.where(rounds_table[keep] >= 0, remap[rounds_table[keep]], -1)
+    table[alive, k], table[alive, k + 1] = alive, sinks
+    names += [f"{'acc' if v else 'rej'}({names[s]})" for s, v in zip(alive.tolist(), verdicts.tolist())]
+    out = ClassicalAutomaton.from_table(
+        table,
         states=tuple(names),
         alphabet=tuple(c.alphabet),
-        start=start,
-        accepting=frozenset(accepting),
-        rejecting=frozenset(rejecting),
-        transitions=transitions,
+        start=int(remap[start]),
+        accepting=frozenset(np.flatnonzero(fate == 2).tolist() + sinks[verdicts].tolist()),
+        rejecting=frozenset(np.flatnonzero(fate == 3).tolist() + sinks[~verdicts].tolist()),
         halting_mode=HALT_ON_ENTER,
     )
-    flag, tuples = is_reversible(out)
-    if not flag:
-        raise AssertionError(f"reversibilization left non-reversibilities: {tuples[:3]}")
+    if np.bincount((table * (k + 2) + np.arange(k + 2))[table >= 0]).max(initial=0) > 1:
+        raise AssertionError(f"reversibilization left non-reversibilities: {is_reversible(out)[1][:3]}")
     return out
 
 
@@ -622,27 +560,6 @@ def _plain_table(c: ClassicalAutomaton):
     if start < 0:
         raise ValueError(f"start state {c.states[c.start]} has no {LEFT_END!r} transition")
     return table, accepting, start
-
-
-def to_plain_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
-    """Unfold a halt-on-enter automaton into an equivalent plain DFA on its
-    states, as ``_plain_table`` describes."""
-    if c.halting_mode == END_OF_WORD:
-        return c
-    table, accepting, start = _plain_table(c)
-    return ClassicalAutomaton(
-        states=tuple(c.states),
-        alphabet=tuple(c.alphabet),
-        start=start,
-        accepting=frozenset(np.flatnonzero(accepting).tolist()),
-        transitions={
-            (s, a): t
-            for a, column in zip(c.alphabet, table.T.tolist())
-            for s, t in enumerate(column)
-            if t >= 0
-        },
-        halting_mode=END_OF_WORD,
-    )
 
 
 def dfa_equivalent(c1: ClassicalAutomaton, c2: ClassicalAutomaton):

@@ -13,7 +13,7 @@ construction and all operations here are pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -69,9 +69,6 @@ class QuantumAutomaton:
     @property
     def non_halting(self) -> frozenset:
         return frozenset(range(self.dim)) - self.accepting - self.rejecting
-
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
 
     def working_symbols(self):
         return tuple(self.alphabet) + (LEFT_END, RIGHT_END)
@@ -143,6 +140,24 @@ class RunPlan:
         self.begin = begin
 
 
+class _Transitions:
+    """The ``transitions`` field: the dict given to the constructor, or else
+    one made from ``table`` when first read."""
+
+    def __get__(self, c, owner=None):
+        if c is None:
+            return None  # the field's default: no dict given
+        if "_transitions" not in c.__dict__:
+            rows, cols = np.nonzero(c.table >= 0)
+            keys = zip(rows.tolist(), map(c.symbols.__getitem__, cols.tolist()))
+            c.__dict__["_transitions"] = dict(zip(keys, c.table[rows, cols].tolist()))
+        return c.__dict__["_transitions"]
+
+    def __set__(self, c, value):
+        if value is not None:
+            c.__dict__["_transitions"] = value
+
+
 @dataclass(frozen=True)
 class ClassicalAutomaton:
     """Deterministic automaton, either a plain DFA or a halt-on-enter RFA.
@@ -150,7 +165,9 @@ class ClassicalAutomaton:
     In ``end-of-word`` mode acceptance is decided by the final state and
     endmarkers play no role.  In ``halt-on-enter`` mode the automaton reads
     ^ word $ and halts as soon as it enters an accepting or rejecting state;
-    halting states have no outgoing transitions.
+    halting states have no outgoing transitions.  It is built from a
+    ``transitions`` dict, compiled into ``table`` on first use, or by
+    ``from_table``, which makes the dict only when it is read.
     """
 
     states: tuple
@@ -158,11 +175,18 @@ class ClassicalAutomaton:
     start: int
     accepting: frozenset
     rejecting: frozenset = frozenset()
-    transitions: dict = field(default_factory=dict)
+    transitions: dict = _Transitions()
     halting_mode: str = END_OF_WORD
 
     def __post_init__(self):
         _check_alphabet(self.alphabet)
+
+    @classmethod
+    def from_table(cls, table: np.ndarray, **fields) -> "ClassicalAutomaton":
+        """The automaton with this ``table`` and the other constructor ``fields``."""
+        c = cls(**fields)
+        c.__dict__.update(table=table, strays=0)
+        return c
 
     @property
     def n_states(self) -> int:
@@ -189,24 +213,28 @@ class ClassicalAutomaton:
 
         Built on first use and cached, so ``transitions`` must not be mutated
         after that.  An entry whose source or target is not a state index, or
-        whose symbol is not in ``symbols``, is left out;
-        ``validate_classical`` reports it.
+        whose symbol is not in ``symbols``, is left out and counted in
+        ``strays``; ``validate_classical`` reports it.
         """
         n, symbols = self.n_states, self.symbols
+        transitions = self.__dict__.get("_transitions", {})
         column = {a: k for k, a in enumerate(symbols)}
-        keys = self.transitions.keys()
-        count = len(keys)
-        rows = np.fromiter(map(itemgetter(0), keys), np.int64, count)
-        columns = map(column.get, map(itemgetter(1), keys), itertools.repeat(-1))
+        count = len(transitions)
+        rows = np.fromiter(map(itemgetter(0), transitions), np.int64, count)
+        columns = map(column.get, map(itemgetter(1), transitions), itertools.repeat(-1))
         cols = np.fromiter(columns, np.int64, count)
-        targets = np.fromiter(self.transitions.values(), np.int64, count)
+        targets = np.fromiter(transitions.values(), np.int64, count)
         kept = (rows >= 0) & (rows < n) & (cols >= 0) & (targets >= 0) & (targets < n)
         table = np.full((n, len(symbols)), -1, dtype=np.int32)
         table[rows[kept], cols[kept]] = targets[kept]
+        self.__dict__["strays"] = count - int(np.count_nonzero(kept))
         return table
 
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
+    @cached_property
+    def strays(self) -> int:
+        """How many entries of ``transitions`` the table leaves out."""
+        self.table  # building the table counts them
+        return self.__dict__["strays"]
 
 
 @dataclass(frozen=True)
@@ -388,7 +416,7 @@ def validate_classical(c: ClassicalAutomaton) -> list:
     symbols = c.symbols
     has = c.table >= 0
     strays = []
-    if np.count_nonzero(has) != len(c.transitions):  # the table left some entry out
+    if c.strays:
         column = {a: k for k, a in enumerate(symbols)}
         for (s, a), t in c.transitions.items():
             if not 0 <= s < n:
@@ -455,31 +483,39 @@ def validate_prfa(p: ProbabilisticAutomaton) -> list:
     return problems
 
 
-def non_reversibilities(transitions: dict, key=None) -> list:
-    """Every (q1, q2, q, a) where distinct states q1 and q2 both enter q on a.
+def _in_edges(table: np.ndarray, rank=None):
+    """The entries of a transition table as edges grouped by (target, column).
 
-    The tuples come in (q, a) order; within one (q, a) the entering states
-    are ordered by ``key`` (by index when None) and q1 comes first.
+    Returns ``(source, target, column, first)``: the edges sorted by target,
+    then by ``rank[column]`` (the column itself when ``rank`` is None), then
+    by source, and the position of the first edge of each group.
     """
-    entering = {}
-    for (s, a), t in transitions.items():
-        entering.setdefault((t, a), []).append(s)
-    return [
-        (q1, q2, q, a)
-        for (q, a), sources in sorted(kv for kv in entering.items() if len(kv[1]) > 1)
-        for q1, q2 in itertools.combinations(sorted(sources, key=key), 2)
-    ]
+    source, column = np.nonzero(table >= 0)
+    target = table[source, column]
+    key = target.astype(np.int64) * table.shape[1] + (column if rank is None else rank[column])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    return source[order], target[order], column[order], first
 
 
 def is_reversible(c: ClassicalAutomaton):
     """Check that every (state, symbol) has at most one predecessor.
 
     Returns (flag, tuples); each tuple is (q1, q2, q, a) naming two distinct
-    states that both move to q on a.
+    states that both move to q on a.  The tuples come in (q, a) order, by
+    state index and then symbol; within one (q, a), q1 and q2 go by index.
+    Only ``table`` is read: entries it leaves out are not counted.
     """
+    symbols = c.symbols
+    rank = np.argsort(sorted(range(len(symbols)), key=symbols.__getitem__))  # of each symbol, sorted
+    source, target, column, first = _in_edges(c.table, rank)
+    bounds = np.append(first, len(source)).tolist()
     tuples = [
-        (c.states[q1], c.states[q2], c.states[q], a)
-        for q1, q2, q, a in non_reversibilities(c.transitions)
+        (c.states[q1], c.states[q2], c.states[target[lo]], symbols[column[lo]])
+        for lo, hi in zip(bounds, bounds[1:])
+        if hi - lo > 1
+        for q1, q2 in itertools.combinations(source[lo:hi].tolist(), 2)
     ]
     return (not tuples), tuples
 

@@ -11,7 +11,7 @@ an exact round trip.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -20,6 +20,8 @@ from . import linalg
 from .automata import (
     END_OF_WORD,
     HALT_ON_ENTER,
+    LEFT_END,
+    RIGHT_END,
     ClassicalAutomaton,
     ProbabilisticAutomaton,
     QuantumAutomaton,
@@ -85,9 +87,9 @@ def _field(doc: dict, key: str, json_type: type):
 
 def _state_index(doc: dict) -> dict:
     states = doc["states"]
-    if not isinstance(states, list) or not all(isinstance(name, str) for name in states):
+    if not isinstance(states, list) or not all(map(isinstance, states, repeat(str))):
         raise FileFormatError("states must be a list of names")
-    index = {name: i for i, name in enumerate(states)}
+    index = dict(zip(states, range(len(states))))
     if len(index) != len(states):
         repeated = {name for i, name in enumerate(states) if index[name] != i}
         raise FileFormatError(f"duplicate state names {sorted(repeated)}")
@@ -98,6 +100,14 @@ def _lookup(index: dict, name, what: str) -> int:
     if isinstance(name, str) and name in index:
         return index[name]
     raise FileFormatError(f"{what} names undeclared state {name!r}")
+
+
+def _lookups(index: dict, names, what: str) -> frozenset:
+    """``_lookup`` of every name in a list, as a set."""
+    try:
+        return frozenset(map(index.__getitem__, names))
+    except (KeyError, TypeError):  # word the error for the first bad name
+        return frozenset(_lookup(index, name, what) for name in names)
 
 
 def _amp_out(z: complex):
@@ -270,7 +280,7 @@ def _classical_text(c: ClassicalAutomaton):
         raise FileFormatError("cannot save: state names and symbols must be strings")
     if len(set(c.states)) != c.n_states:
         raise FileFormatError("cannot save: duplicate state names")
-    if np.count_nonzero(c.table >= 0) != len(c.transitions):
+    if c.strays:
         raise FileFormatError("cannot save: a transition names no state or symbol of the automaton")
     names = list(map(encode_basestring_ascii, c.states))
     order = sorted(range(len(symbols)), key=symbols.__getitem__)
@@ -296,27 +306,63 @@ def _classical_text(c: ClassicalAutomaton):
     return pieces()
 
 
+def _transition_table(doc: dict, index: dict, rows: dict, mode):
+    """``rows`` as the table of a dfa or rfa file, or None when a row, name,
+    symbol, the alphabet or the mode is not one it can hold; the per-entry
+    reader then words the error, or keeps stray entries for validation."""
+    alphabet = doc["alphabet"]
+    if mode not in (END_OF_WORD, HALT_ON_ENTER) or not isinstance(alphabet, list):
+        return None
+    symbols = alphabet + [LEFT_END, RIGHT_END] if mode == HALT_ON_ENTER else alphabet
+    values = rows.values()
+    if not all(map(isinstance, symbols, repeat(str))) or not all(map(isinstance, values, repeat(dict))):
+        return None
+    column = {a: k for k, a in enumerate(symbols)}
+    sizes = np.fromiter(map(len, values), np.int64, len(rows))
+    count = int(sizes.sum())
+    sources = np.fromiter(map(index.get, rows, repeat(-1)), np.int64, len(rows))
+    columns = np.fromiter(map(column.get, chain.from_iterable(values), repeat(-1)), np.int64, count)
+    try:  # a target that is a list or an object cannot be looked up
+        targets = chain.from_iterable(map(dict.values, values))
+        targets = np.fromiter(map(index.get, targets, repeat(-1)), np.int64, count)
+    except TypeError:
+        return None
+    if min(sources.min(initial=0), columns.min(initial=0), targets.min(initial=0)) < 0:
+        return None
+    table = np.full((len(index), len(symbols)), -1, dtype=np.int32)
+    table[np.repeat(sources, sizes), columns] = targets
+    return table
+
+
 def classical_from_dict(doc: dict) -> ClassicalAutomaton:
+    """Read a dfa or rfa file.  The table is filled from the rows in one
+    pass; only a file that the fill refuses is read entry by entry."""
     kind = doc.get("kind", "dfa")
     _require(doc, f"{kind} file", ("states", "alphabet", "start", "accepting", "transitions"))
     index = _state_index(doc)
-    transitions = {}
-    for src, row in _mapping(doc["transitions"], "transitions").items():
-        s = _lookup(index, src, "a transition")
-        for sym, dst in _mapping(row, f"transitions of {src!r}").items():
-            transitions[(s, sym)] = _lookup(index, dst, "a transition")
+    rows = _mapping(doc["transitions"], "transitions")
     mode = doc.get("halting_mode", END_OF_WORD)
+    table = _transition_table(doc, index, rows, mode)
+    transitions = None
+    if table is None:
+        transitions = {}
+        for src, row in rows.items():
+            s = _lookup(index, src, "a transition")
+            for sym, dst in _mapping(row, f"transitions of {src!r}").items():
+                transitions[(s, sym)] = _lookup(index, dst, "a transition")
     if mode not in (END_OF_WORD, HALT_ON_ENTER):
         raise FileFormatError(f"unknown halting mode {mode!r}")
-    return ClassicalAutomaton(
+    fields = dict(
         states=tuple(doc["states"]),
         alphabet=tuple(_alphabet(doc)),
         start=_lookup(index, doc["start"], "start"),
-        accepting=frozenset(_lookup(index, s, "accepting") for s in _list(doc, "accepting")),
-        rejecting=frozenset(_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")),
-        transitions=transitions,
+        accepting=_lookups(index, _list(doc, "accepting"), "accepting"),
+        rejecting=_lookups(index, _list(doc, "rejecting"), "rejecting"),
         halting_mode=mode,
     )
+    if table is None:
+        return ClassicalAutomaton(transitions=transitions, **fields)
+    return ClassicalAutomaton.from_table(table, **fields)
 
 
 def prfa_to_dict(p: ProbabilisticAutomaton) -> dict:
@@ -360,6 +406,8 @@ def prfa_from_dict(doc: dict) -> ProbabilisticAutomaton:
 
 
 def _weighted(index: dict, pairs, what: str) -> list:
+    if not isinstance(pairs, list):
+        raise FileFormatError(f"{what} must be a list of [state, probability] pairs, got {pairs!r}")
     out = []
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:

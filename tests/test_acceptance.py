@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from tests_support import astar_dfa, is_good_coefficient, random_qfa, sigma_star_dfa
+from tests_support import astar_dfa, is_good_coefficient, random_qfa, sigma_star_dfa, witness_holds
 
 from qfa import linalg
 from qfa.analysis import (
@@ -20,7 +20,6 @@ from qfa.analysis import (
     find_prfa_forbidden_construction,
     minimize_dfa,
     reversibilize,
-    witness_holds,
 )
 from qfa.automata import (
     ClassicalAutomaton,

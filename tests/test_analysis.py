@@ -5,6 +5,7 @@ import json
 import random
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 
 from qfa import analysis, semantics, serialize
@@ -15,15 +16,23 @@ from qfa.analysis import (
     find_prfa_forbidden_construction,
     minimize_dfa,
     reversibilize,
-    to_plain_dfa,
-    transition_monoid,
-    witness_holds,
 )
 from qfa.automata import HALT_ON_ENTER, LEFT_END, RIGHT_END, ClassicalAutomaton, is_reversible, validate_classical
 from qfa.cli import main
 from qfa.constructions import astar_bstar_dfa, block_dfa
 from qfa.linalg import CapacityError
-from tests_support import astar_dfa, parity_dfa, sigma_star_dfa
+from tests_support import (
+    MonoidElement,
+    assert_readers_agree,
+    astar_dfa,
+    parity_dfa,
+    reference_non_reversibilities,
+    reference_reachable,
+    sigma_star_dfa,
+    to_plain_dfa,
+    transition_monoid,
+    witness_holds,
+)
 
 
 def step_word(c, state, word):
@@ -251,7 +260,7 @@ def reference_reversibilize(c: ClassicalAutomaton, max_states: int = 1000000) ->
         reach = {}
         for (_, _, q, _) in tuples:
             if q not in reach:
-                reach[q] = analysis._reachable(transitions, c.alphabet, q)
+                reach[q] = reference_reachable(transitions, c.alphabet, q)
         # tuple t is below t' when a source of t' is reachable from t's target
         def is_maximal(tup):
             r = reach[tup[2]]
@@ -405,7 +414,7 @@ def dict_lookup_monoid(c, cap=analysis.DEFAULT_MONOID_CAP):
                     raise CapacityError(f"transition monoid exceeds cap of {cap} elements")
                 elements[nxt] = word + (a,)
                 queue.append(nxt)
-    return [analysis.MonoidElement(mapping=m, word=w) for m, w in elements.items()]
+    return [MonoidElement(mapping=m, word=w) for m, w in elements.items()]
 
 
 def brute_force_merges(c):
@@ -854,6 +863,85 @@ def test_written_block_rfa_bytes_are_pinned(m, tmp_path):
 def oracle_bytes(c) -> bytes:
     """What ``serialize.save`` wrote before it streamed from the table."""
     return (json.dumps(serialize.classical_to_dict(c), indent=1) + "\n").encode("utf-8")
+
+
+class TestTableFirstAutomata:
+    """Automata built from a table: ``is_reversible`` and the reader read the
+    table, and agree with the dict passes they replaced."""
+
+    @staticmethod
+    def dict_tuples(c):
+        return [
+            (c.states[q1], c.states[q2], c.states[q], a)
+            for q1, q2, q, a in reference_non_reversibilities(c.transitions)
+        ]
+
+    @staticmethod
+    def merging_automata():
+        """Non-reversibilities in several (q, a) groups, some of three or more sources."""
+        funnel = ClassicalAutomaton(
+            states=("p", "q", "r", "s", "t"),
+            alphabet=("b", "a"),
+            start=0,
+            accepting=frozenset({4}),
+            transitions={(s, a): t for s in range(5) for a, t in (("a", 4), ("b", s // 2))},
+        )
+        rng = random.Random(7)
+        rfas = []
+        for seed in range(30):
+            n = rng.randint(3, 9)
+            rfas.append(ClassicalAutomaton(
+                states=tuple(f"s{(i * 7) % n}_{i}" for i in range(n)),
+                alphabet=("c", "a", "b"),
+                start=0,
+                accepting=frozenset({n - 1}),
+                rejecting=frozenset({n - 2}),
+                transitions={
+                    (s, a): rng.randrange(min(3, n))
+                    for s in range(n - 2)
+                    for a in ("a", "b", "c", LEFT_END, RIGHT_END)
+                },
+                halting_mode=HALT_ON_ENTER,
+            ))
+        return [funnel] + rfas
+
+    def test_is_reversible_matches_the_dict_pass(self):
+        corpus = differential_corpus()
+        assert len(corpus) == 347
+        corpus += [reversibilize(minimize_dfa(block_dfa(m))) for m in range(1, 9)]
+        corpus += self.merging_automata()
+        seen_large_group = False
+        for c in corpus:
+            flag, tuples = is_reversible(c)
+            assert tuples == self.dict_tuples(c), c
+            assert flag == (not tuples)
+            seen_large_group |= len({t[:2] for t in tuples}) > len({t[2:] for t in tuples})
+        assert seen_large_group
+        funnel = self.merging_automata()[0]
+        assert is_reversible(funnel)[1][:4] == [
+            ("p", "q", "p", "b"), ("r", "s", "q", "b"), ("p", "q", "t", "a"), ("p", "r", "t", "a"),
+        ]
+
+    def test_table_first_automaton_derives_its_dict(self):
+        rfa = reversibilize(minimize_dfa(block_dfa(3)))
+        assert "_transitions" not in rfa.__dict__ and rfa.strays == 0
+        rebuilt = ClassicalAutomaton(
+            states=rfa.states, alphabet=rfa.alphabet, start=rfa.start, accepting=rfa.accepting,
+            rejecting=rfa.rejecting, transitions=dict(rfa.transitions), halting_mode=rfa.halting_mode,
+        )
+        assert np.array_equal(rebuilt.table, rfa.table) and rebuilt == rfa
+        assert dataclasses.replace(rfa, start=1).transitions == rfa.transitions
+
+    def test_written_files_read_back(self, tmp_path):
+        """Files of the format-v1 writer, whose bytes are pinned above, read as before."""
+        path = tmp_path / "c.json"
+        automata = [reversibilize(minimize_dfa(block_dfa(m))) for m in range(1, 9)]
+        automata += differential_corpus()[::7] + [random_halt_on_enter(seed) for seed in range(20)]
+        for c in automata:
+            serialize.save(c, str(path))
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            assert_readers_agree(doc)
+            assert serialize.classical_to_dict(serialize.load(str(path))) == serialize.classical_to_dict(c)
 
 
 class TestClassicalWriter:

@@ -12,7 +12,7 @@ from qfa.automata import ClassicalAutomaton
 from qfa.cli import main
 from qfa.constructions import astar_bstar_dfa, example_qfa, modp_qfa
 from qfa.semantics import run_measure_many
-from tests_support import astar_dfa, sigma_star_dfa
+from tests_support import assert_readers_agree, astar_dfa, sigma_star_dfa
 
 
 @pytest.fixture()
@@ -263,6 +263,8 @@ class TestMalformedFiles:
     }
 
     def run_on(self, tmp_path, doc, argv):
+        if doc.get("kind") in ("dfa", "rfa"):
+            assert_readers_agree(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         return main([argv[0], str(path)] + argv[1:])
@@ -418,6 +420,14 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
+
+    @pytest.mark.parametrize("edges", [None, 5, True, {"acc": 1.0}], ids=["null", "number", "bool", "object"])
+    def test_prfa_edge_list_not_a_list(self, tmp_path, capsys, edges):
+        doc = dict(self.PRFA, transitions={"s": {"a": edges}})
+        assert self.run_on(tmp_path, doc, ["run", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"a transition must be a list of [state, probability] pairs, got {edges!r}" in err
 
     @pytest.mark.parametrize(
         "entry, message",

@@ -1,21 +1,35 @@
 """Shared helpers for the test suite: random automata, small reference DFAs
 and independent oracles that the library itself does not need."""
 
+import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 from qfa.automata import (
     END_OF_WORD,
+    HALT_ON_ENTER,
     LEFT_END,
     RIGHT_END,
     ClassicalAutomaton,
     ProbabilisticAutomaton,
     QuantumAutomaton,
 )
+from qfa.analysis import DEFAULT_MONOID_CAP, ConstructionWitness, _fates, _monoid, _plain_table, _require_plain
 from qfa.constructions import is_prime
 from qfa.semantics import _working_stream
+from qfa.serialize import (
+    FileFormatError,
+    _alphabet,
+    _list,
+    _lookup,
+    _mapping,
+    _require,
+    _state_index,
+    classical_from_dict,
+)
 
 
 def random_qfa(seed: int) -> QuantumAutomaton:
@@ -169,5 +183,161 @@ def parity_dfa() -> ClassicalAutomaton:
         start=0,
         accepting=frozenset({1}),
         transitions={(0, "a"): 1, (1, "a"): 0},
+        halting_mode=END_OF_WORD,
+    )
+
+
+def reference_reachable(transitions: dict, alphabet, origin: int) -> set:
+    """Oracle: the states reachable from origin (inclusive) over a transition
+    dict; the dict search that ``analysis._reach`` replaced."""
+    seen = {origin}
+    frontier = [origin]
+    while frontier:
+        s = frontier.pop()
+        for a in alphabet:
+            t = transitions.get((s, a))
+            if t is not None and t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
+
+
+def reference_non_reversibilities(transitions: dict, key=None) -> list:
+    """Oracle: the dict pass that ``is_reversible`` replaced.
+
+    Every (q1, q2, q, a) where distinct states q1 and q2 both enter q on a.
+    The tuples come in (q, a) order; within one (q, a) the entering states
+    are ordered by ``key`` (by index when None) and q1 comes first.
+    """
+    entering = {}
+    for (s, a), t in transitions.items():
+        entering.setdefault((t, a), []).append(s)
+    return [
+        (q1, q2, q, a)
+        for (q, a), sources in sorted(kv for kv in entering.items() if len(kv[1]) > 1)
+        for q1, q2 in itertools.combinations(sorted(sources, key=key), 2)
+    ]
+
+
+def reference_classical_from_dict(doc: dict) -> ClassicalAutomaton:
+    """Oracle: the reader of dfa and rfa files before it filled the table,
+    one ``_lookup`` per name into a transition dict."""
+    kind = doc.get("kind", "dfa")
+    _require(doc, f"{kind} file", ("states", "alphabet", "start", "accepting", "transitions"))
+    index = _state_index(doc)
+    transitions = {}
+    for src, row in _mapping(doc["transitions"], "transitions").items():
+        s = _lookup(index, src, "a transition")
+        for sym, dst in _mapping(row, f"transitions of {src!r}").items():
+            transitions[(s, sym)] = _lookup(index, dst, "a transition")
+    mode = doc.get("halting_mode", END_OF_WORD)
+    if mode not in (END_OF_WORD, HALT_ON_ENTER):
+        raise FileFormatError(f"unknown halting mode {mode!r}")
+    return ClassicalAutomaton(
+        states=tuple(doc["states"]),
+        alphabet=tuple(_alphabet(doc)),
+        start=_lookup(index, doc["start"], "start"),
+        accepting=frozenset(_lookup(index, s, "accepting") for s in _list(doc, "accepting")),
+        rejecting=frozenset(_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")),
+        transitions=transitions,
+        halting_mode=mode,
+    )
+
+
+def assert_readers_agree(doc: dict):
+    """``serialize.classical_from_dict`` and its oracle raise the same error
+    on ``doc``, or give automata with the same fields, table and strays."""
+
+    def read(reader):
+        try:
+            return reader(doc)
+        except ValueError as exc:  # FileFormatError, or a value the constructor refuses
+            return exc
+
+    got, want = read(classical_from_dict), read(reference_classical_from_dict)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want)), doc
+        return
+    assert isinstance(got, ClassicalAutomaton), (got, doc)
+    fields = ("states", "alphabet", "start", "accepting", "rejecting", "halting_mode", "transitions")
+    for name in fields:
+        assert getattr(got, name) == getattr(want, name), (name, doc)
+    assert got.table.dtype == want.table.dtype and np.array_equal(got.table, want.table), doc
+    assert got.strays == want.strays, doc
+
+
+@dataclass(frozen=True)
+class MonoidElement:
+    """A state mapping realized by some word, with a shortest witness."""
+
+    mapping: tuple
+    word: tuple
+
+
+def transition_monoid(c: ClassicalAutomaton, cap: int = DEFAULT_MONOID_CAP):
+    """All distinct state mappings realized by words, with shortest witnesses.
+
+    The arrays of ``analysis._monoid`` as ``MonoidElement``s.  Enumerated by
+    BFS over composition with the generator symbols, so each witness is
+    shortest and lexicographically least among shortest.  Raises
+    CapacityError exactly when the monoid has more than ``cap`` elements.
+    """
+    _require_plain(c, "transition_monoid")
+    elements, parent, letter, _ = _monoid(c, cap)
+    words = [()]
+    for p, a in zip(parent[1:].tolist(), letter[1:].tolist()):
+        words.append(words[p] + (c.alphabet[a],))
+    return [MonoidElement(mapping=tuple(m), word=w) for m, w in zip(elements.tolist(), words)]
+
+
+def _step_word(c: ClassicalAutomaton, state: int, word) -> int:
+    for sym in word:
+        state = c.transitions[(state, sym)]
+    return state
+
+
+def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
+    """Replay a witness's words on the automaton and re-check its conditions."""
+    q1 = c.states.index(w.q1)
+    q2 = c.states.index(w.q2)
+    eligible = set(range(c.n_states)).difference(*_fates(c))
+    if q1 == q2 or q2 not in eligible:
+        return False
+    if w.y is None:
+        return _step_word(c, q1, w.x) == q2 and _step_word(c, q2, w.x) == q2
+    if q1 not in eligible:
+        return False
+    if _step_word(c, q1, w.x) != q1:
+        return False
+    if _step_word(c, q1, w.y) != q2 or _step_word(c, q2, w.y) != q2:
+        return False
+    # an independent walk, not the detector's array pass: x^k returns q2 to q2
+    # for some k <= n exactly when q2 lies on a cycle of x
+    x = [_step_word(c, s, w.x) for s in range(c.n_states)]
+    cur = x[q2]
+    for _ in range(c.n_states):
+        if cur == q2:
+            return False
+        cur = x[cur]
+    return True
+
+
+def to_plain_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
+    """Unfold a halt-on-enter automaton into an equivalent plain DFA on its
+    states, as ``analysis._plain_table`` describes."""
+    if c.halting_mode == END_OF_WORD:
+        return c
+    table, accepting, start = _plain_table(c)
+    return ClassicalAutomaton(
+        states=tuple(c.states),
+        alphabet=tuple(c.alphabet),
+        start=start,
+        accepting=frozenset(np.flatnonzero(accepting).tolist()),
+        transitions={
+            (s, a): t
+            for a, column in zip(c.alphabet, table.T.tolist())
+            for s, t in enumerate(column)
+            if t >= 0
+        },
         halting_mode=END_OF_WORD,
     )

@@ -9,7 +9,10 @@ randomness: S_7 on a transposition and a 7-cycle (5,040 elements, no
 witness), and the full transformation monoid of 6 states, from the same two
 permutations and a letter merging state 0 into state 1 (46,656 elements).
 For m = 8 ... 12, on the RFA ``rfa = reversibilize(minimize_dfa(block_dfa(m)))``,
-times:
+reports the number of reversibilization rounds (where the checkout has
+``analysis._split_rounds``) and the peak live state count, which is the
+RFA's states less its right-endmarker sinks, since the live count only
+grows from round to round; and times:
 
 - ``reversibilize`` itself; the minimal DFA is built once per m, untimed;
 - ``serialize.save(rfa)``, each call on a fresh copy of the automaton, so
@@ -97,7 +100,7 @@ def main(argv=None) -> int:
     monoids = []
     for name, n, merge in (("S7", 7, False), ("full-transformation-6", 6, True)):
         dfa = generated_dfa(n, merge)
-        elements = len(analysis.transition_monoid(dfa))  # untimed
+        elements = len(analysis._monoid(dfa, analysis.DEFAULT_MONOID_CAP)[0])  # untimed
         detector, _ = time_call(lambda _: analysis.find_prfa_forbidden_construction(dfa), RUNS)
         monoids.append({"dfa": name, "elements": elements, "find_prfa_forbidden_construction": detector})
         print(name, elements, detector["median_ms"], file=sys.stderr)
@@ -111,6 +114,9 @@ def main(argv=None) -> int:
             row = {"m": m}
             row["reversibilize"], rfa = time_call(lambda _: analysis.reversibilize(minimal), RUNS)
             row["rfa_states"] = rfa.n_states
+            row["peak_live_states"] = rfa.n_states - int(np.count_nonzero(rfa.table[:, -1] >= 0))
+            if hasattr(analysis, "_split_rounds"):
+                row["rounds"] = analysis._split_rounds(minimal)[4]
             row["save"], _ = time_call(lambda r: serialize.save(r, path), RUNS, lambda: dataclasses.replace(rfa))
             row["file_bytes"] = os.path.getsize(path)
             row["load"], _ = time_call(lambda _: serialize.load(path), RUNS)
@@ -125,7 +131,7 @@ def main(argv=None) -> int:
                 lambda r: (validate_classical(r), analysis.dfa_equivalent(dfa, r)), RUNS, fresh
             )
             rows.append(row)
-            print(f"m={m}", rfa.n_states, *(row[k]["median_ms"] for k in (
+            print(f"m={m}", rfa.n_states, row["peak_live_states"], row.get("rounds"), *(row[k]["median_ms"] for k in (
                 "reversibilize", "save", "load", "validate_classical", "dfa_equivalent",
                 "validate_and_equivalent",
             )), file=sys.stderr)
@@ -137,6 +143,8 @@ def main(argv=None) -> int:
                                "monoid of 6 states from the same permutations and a merge 0 -> 1",
             "automata": f"block_dfa(m) for m = {BLOCK_SIZES.start}..{BLOCK_SIZES.stop - 1}",
             "reversibilize": "reversibilize(minimize_dfa(block_dfa(m))), minimization not timed",
+            "rounds": "reversibilization rounds, from analysis._split_rounds (absent in older checkouts)",
+            "peak_live_states": "live states after the last round: RFA states less right-endmarker sinks",
             "save": "serialize.save(rfa, path) on a fresh copy of rfa per call (nothing cached)",
             "load": "serialize.load(path)",
             "validate_classical": "validate_classical(rfa) on an rfa freshly loaded per call",
