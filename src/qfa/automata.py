@@ -83,59 +83,75 @@ class QuantumAutomaton:
 class RunPlan:
     """A quantum automaton compiled for the runners.
 
-    ``apply[sym]`` is the symbol's operator lowered once by ``linalg.lower``.
-    ``acc``, ``rej`` and ``non`` are the sorted state index arrays.  ``begin()``
-    gives the observed initial vector as (p_acc, p_rej, residue), and
-    ``observe(psi, ops[sym])`` one measure-many step as (accept mass, reject
-    mass, new residue); a residue is never written to once returned.  With
-    every unitary dense, ``ops[sym]`` holds the non-halting rows with their
-    columns ordered [non | acc | rej], so a step is one small product and two
-    slices and residues live in the non-halting subspace.  Otherwise ``ops``
-    is ``apply`` and residues are full vectors with halting amplitudes zeroed.
+    Both kinds of plan keep their vectors in one state order: the non-halting
+    states, then the accepting, then the rejecting ones, each in index order.
+    ``non``, ``acc`` and ``rej`` are the slices of those parts, ``initial()``
+    is a fresh copy of the initial vector in that order, and ``apply[sym]``
+    is the symbol's operator lowered into it once by ``linalg.lower``.
+    ``begin()`` gives the observed initial vector as (p_acc, p_rej, residue),
+    and ``observe(psi, ops[sym])`` one measure-many step as (accept mass,
+    reject mass, new residue); a residue is never written to once returned.
+    Each mass is the ``vdot`` of a contiguous slice.  With every unitary
+    dense, ``ops[sym]`` holds the non-halting rows, so a step is one small
+    product and residues live in the non-halting subspace.  Otherwise
+    ``ops`` is ``apply`` and a residue is a full vector whose halting tail
+    is cleared by one slice assignment.
     """
 
     def __init__(self, q: QuantumAutomaton):
         if q.accepting & q.rejecting:
             raise ValueError(f"overlapping partition: {sorted(q.accepting & q.rejecting)}")
         n = q.initial.shape[0]
-        self.apply = {sym: linalg.lower(m, n) for sym, m in q.unitaries.items()}
-        self.acc = np.array(sorted(q.accepting), dtype=np.intp)
-        self.rej = np.array(sorted(q.rejecting), dtype=np.intp)
+        accepting = np.array(sorted(q.accepting), dtype=np.intp)
+        rejecting = np.array(sorted(q.rejecting), dtype=np.intp)
         halting = np.zeros(n, dtype=bool)
-        halting[self.acc] = halting[self.rej] = True
-        self.non = np.flatnonzero(~halting)
+        halting[accepting] = halting[rejecting] = True
+        order = np.concatenate([np.flatnonzero(~halting), accepting, rejecting])
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = np.arange(n)
+        self.apply = {sym: linalg.lower(m, pos) for sym, m in q.unitaries.items()}
+        k, h = n - len(accepting) - len(rejecting), n - len(rejecting)
+        self.non, self.acc, self.rej = non, acc, rej = slice(k), slice(k, h), slice(h, n)
+        # the initial vector's nonzero amplitudes and their positions: the
+        # plan keeps no vector of the automaton's size between runs
+        nonzero = np.flatnonzero(q.initial)
+        at, amplitudes = pos[nonzero], q.initial[nonzero]
+
+        def initial():
+            v = np.zeros(n, dtype=complex)
+            v[at] = amplitudes
+            return v
+
+        dot, vdot = np.dot, np.vdot
         if all(isinstance(m, np.ndarray) for m in q.unitaries.values()):
-            order = np.concatenate([self.non, self.acc, self.rej])
-            self.ops = {sym: m[np.ix_(self.non, order)] for sym, m in q.unitaries.items()}
-            k, h = len(self.non), len(self.non) + len(self.acc)
-            non, acc, rej = slice(k), slice(k, h), slice(h, None)
-            dot, vdot = np.dot, np.vdot
+            self.ops = {sym: m[np.ix_(order[non], order)] for sym, m in q.unitaries.items()}
 
             def observe(psi, rows):
                 out = dot(psi, rows)
                 a, r = out[acc], out[rej]
                 return float(vdot(a, a).real), float(vdot(r, r).real), out[non]
 
-            v = q.initial[order]
+            v = initial()
             start = (linalg.norm_squared(v[acc]), linalg.norm_squared(v[rej]), v[non])
 
             def begin():
                 return start
         else:
             self.ops = self.apply
-            # not q itself: a plan referring back to its automaton would form a cycle
-            acc, rej, initial = self.acc, self.rej, q.initial
 
-            def observe(psi, op):
-                out = op(psi)
-                d_acc = float(np.sum(np.abs(out[acc]) ** 2))
-                d_rej = float(np.sum(np.abs(out[rej]) ** 2))
-                out[acc] = out[rej] = 0.0
+            def observed(out):
+                a, r = out[acc], out[rej]
+                d_acc, d_rej = float(vdot(a, a).real), float(vdot(r, r).real)
+                out[k:] = 0.0
                 return d_acc, d_rej, out
 
-            def begin():  # a vector of the automaton's size is not kept alive between runs
-                return observe(initial, np.copy)
+            def observe(psi, op):
+                return observed(op(psi))
 
+            def begin():
+                return observed(initial())
+
+        self.initial = initial
         self.observe = observe
         self.begin = begin
 

@@ -9,6 +9,7 @@ are deterministic given the same arguments and --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
@@ -384,7 +385,10 @@ def cmd_dist(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` call in the process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=1e-9, help="validation tolerance")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")

@@ -313,15 +313,15 @@ def _composite_blocks(
             f"a larger epsilon keeps the tensor power manageable"
         )
     labels = [format(i, f"0{d}b") for i in range(m)]
+    tail = [f".q{lbl}" for lbl in labels] + [".acc"] + [f".rej{lbl}" for lbl in labels[1:]]
 
     names = ["start"]
     accepting = []
     rejecting = []
     for l in range(s):
         base = 1 + l * block_dim
-        names += [f"b{l}.q{lbl}" for lbl in labels]
-        names.append(f"b{l}.acc")
-        names += [f"b{l}.rej{lbl}" for lbl in labels[1:]]
+        head = f"b{l}"
+        names += [head + t for t in tail]
         accepting.append(base + m)
         rejecting.extend(range(base + m + 1, base + block_dim))
 

@@ -53,16 +53,25 @@ def norm_squared(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
-def lower(m, dim: int):
-    """Check that ``m`` acts on ``dim`` states and return it as a function that
-    maps a state vector to a new one, never writing to its argument."""
+def lower(m, pos):
+    """Return ``m`` as a function that maps a state vector to a new one,
+    never writing to its argument.
+
+    ``pos`` is the layout of the vectors: state i of ``m`` sits at
+    ``pos[i]``, so the natural order is ``np.arange(dim)``.  Every position is
+    resolved here, once, so the function runs on slices and one composed
+    gather per stage.
+    """
+    pos = np.asarray(pos)
+    dim = len(pos)
     if isinstance(m, np.ndarray):
         if m.shape != (dim, dim):
             raise ValueError(f"dimension mismatch: matrix {m.shape} vs vector {(dim,)}")
+        m = _in_order(m, pos)[0]
         return lambda v: v @ m
     if m.dim != dim:
         raise ValueError(f"dimension mismatch: operator dim {m.dim} vs vector {(dim,)}")
-    stages = [_Stage(f) for f in _factors(m)]
+    stages = [_Stage(f, pos) for f in _factors(m)]
 
     def run(v):
         for stage in stages:
@@ -351,22 +360,26 @@ class PlaneRotationOp:
         if abs(self.target[self.axis]) > 1e-12:
             raise ValueError("target must be orthogonal to the rotation axis")
 
-    def rotate(self, v):
-        """Overwrite ``v`` with its image: e -> u and u -> -e."""
-        e_amp = v[self.axis]
-        u_amp = np.vdot(self.target, v)
-        v[self.axis] = 0.0
-        v += (e_amp - u_amp) * self.target
-        v[self.axis] += -u_amp
-
     def dense(self):
         out = np.eye(self.dim, dtype=complex)
+        support = np.flatnonzero(self.target)
         for row in out:
-            self.rotate(row)
+            _rotate(row, self.axis, support, self.target[support])
         return out
 
     def unitarity_defect(self):
         return float(abs(norm_squared(self.target) - 1.0))
+
+
+def _rotate(v, axis, support, values):
+    """Overwrite ``v`` with its image under the rotation sending the basis
+    state ``axis`` to the unit vector that holds ``values`` at ``support``
+    (e -> u and u -> -e); positions outside the plane are not read."""
+    e_amp = v[axis]
+    u_amp = np.vdot(values, v[support])
+    v[axis] = 0.0
+    v[support] += (e_amp - u_amp) * values
+    v[axis] += -u_amp
 
 
 def _factors(op) -> list:
@@ -396,63 +409,78 @@ def _leaves(op, offset: int, out: list):
         out.append((offset, op))
 
 
+def _in_order(m, at):
+    """The dense matrix ``m`` with its states sorted by their positions
+    ``at``, and the sorted positions."""
+    order = np.argsort(at, kind="stable")
+    return m[np.ix_(order, order)], at[order]
+
+
+def _span(at):
+    """Positions ``at`` as a slice when they form one ascending run, else as
+    they are."""
+    start = int(at.flat[0]) if at.size else 0
+    if np.array_equal(at.reshape(-1), np.arange(start, start + at.size)):
+        return slice(start, start + at.size)
+    return at
+
+
 class _Stage:
     """One lowered factor: called on a state vector, returns its image.
 
-    Identity leaves are skipped, permutation leaves merge into one gather,
-    tensor powers of equal shape run as one batched kernel in fused runs of
-    factors of at most ``_FUSED_ROWS`` rows, a dense leaf multiplies its slice
-    and a plane rotation rotates its slice of the output.  A stage that is
-    one batch of tensor powers over the whole vector runs the kernel on a
-    single copy of the input.
+    The factor's leaves are placed through the position map ``pos`` once.
+    Identity leaves are skipped and permutation leaves merge into one gather
+    composed with the map.  Tensor powers of equal shape run as one batched
+    kernel in fused runs of factors of at most ``_FUSED_ROWS`` rows; when
+    their positions form one ascending run, the kernel works in place on that
+    slice of the output.  A dense leaf has its states sorted by position and
+    multiplies its slice, and a plane rotation touches only its axis and the
+    support of its target.  Positions that form no run are gathered and
+    scattered.
     """
 
-    def __init__(self, op):
+    def __init__(self, op, pos):
         leaves = []
         _leaves(op, 0, leaves)
         self.gather = None
         groups = {}
-        self.others = []
+        self.dense = []
+        self.rotations = []
         for off, leaf in leaves:
+            at = pos[off : off + operator_dim(leaf)]
             if isinstance(leaf, IdentityOp):
                 continue
             if isinstance(leaf, PermutationOp):
                 if self.gather is None:
-                    self.gather = np.arange(op.dim)
-                self.gather[off + leaf.dest] = off + np.arange(leaf.dim)
+                    self.gather = np.arange(len(pos))
+                self.gather[at[leaf.dest]] = at
             elif isinstance(leaf, TensorPowerOp):
-                groups.setdefault((leaf.base.shape[0], leaf.copies), []).append((off, leaf))
+                groups.setdefault((leaf.base.shape[0], leaf.copies), []).append((at, leaf))
+            elif isinstance(leaf, PlaneRotationOp):
+                support = np.flatnonzero(leaf.target)
+                self.rotations.append((at[leaf.axis], at[support], leaf.target[support]))
             else:
-                self.others.append((off, leaf))
-        self.whole = None
+                leaf, at = _in_order(as_matrix(leaf), at)
+                self.dense.append((leaf, _span(at)))
         self.groups = []
         for (k, copies), members in groups.items():
             runs = _fused_runs(k, copies)
             bases_t = np.stack([leaf.base.T for _, leaf in members])
             powers = {r: _kron_powers(bases_t, r) for r in set(runs)}
-            rounds = [powers[r] for r in runs]
-            if (self.gather is None and not self.others and len(groups) == 1
-                    and len(members) * k**copies == op.dim):
-                # leaves come in offset order, so the members cut the whole
-                # vector into consecutive blocks
-                self.whole = (rounds, len(members))
-            else:
-                offsets = np.array([off for off, _ in members])
-                self.groups.append((rounds, offsets[:, np.newaxis] + np.arange(k**copies)))
+            where = _span(np.stack([at for at, _ in members]))
+            self.groups.append(([powers[r] for r in runs], where))
 
     def __call__(self, v):
         v = np.asarray(v, dtype=complex)
-        if self.whole is not None:
-            rounds, g = self.whole
-            return _tensor_powers(rounds, v.reshape(g, -1).copy()).reshape(-1)
         out = v.copy() if self.gather is None else v[self.gather]
-        for rounds, index in self.groups:
-            out[index] = _tensor_powers(rounds, v[index])
-        # leaves are disjoint, so each slice of out still equals that of v here
-        for off, leaf in self.others:
-            k = operator_dim(leaf)
-            if isinstance(leaf, np.ndarray):
-                out[off : off + k] = v[off : off + k] @ leaf
+        # leaves are disjoint, so each leaf's part of out still equals v's
+        for rounds, where in self.groups:
+            if isinstance(where, slice):
+                _tensor_powers(rounds, out[where].reshape(rounds[0].shape[0], -1))
             else:
-                leaf.rotate(out[off : off + k])
+                out[where] = _tensor_powers(rounds, v[where])
+        for leaf, where in self.dense:
+            out[where] = v[where] @ leaf
+        for rotation in self.rotations:
+            _rotate(out, *rotation)
         return out

@@ -68,7 +68,7 @@ def run_measure_many(q: QuantumAutomaton, word) -> RunOutcome:
     trace = []
     for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word)):
         trace.append((p_acc, p_rej))
-    return RunOutcome(p_acc=p_acc, p_rej=p_rej, p_non=linalg.norm_squared(psi), trace=tuple(trace))
+    return RunOutcome(p_acc=p_acc, p_rej=p_rej, p_non=linalg.norm_squared(psi[q.plan.non]), trace=tuple(trace))
 
 
 def run_prefixes(q: QuantumAutomaton, word) -> list:
@@ -78,13 +78,13 @@ def run_prefixes(q: QuantumAutomaton, word) -> list:
     residue after ^ word[:j] is shared by all longer prefixes, and the right
     endmarker is applied to it once per prefix.
     """
-    observe, end = q.plan.observe, q.plan.ops[RIGHT_END]
+    observe, end, non = q.plan.observe, q.plan.ops[RIGHT_END], q.plan.non
     trace = []
     outcomes = []
     for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word)[:-1]):
         trace.append((p_acc, p_rej))
         e_acc, e_rej, rest = observe(psi, end)
-        p_non = linalg.norm_squared(rest)
+        p_non = linalg.norm_squared(rest[non])
         del rest  # one state vector fewer alive during the next step
         final = (p_acc + e_acc, p_rej + e_rej)
         outcomes.append(
@@ -96,10 +96,10 @@ def run_prefixes(q: QuantumAutomaton, word) -> list:
 def run_measure_once(q: QuantumAutomaton, word) -> RunOutcome:
     """Apply all unitaries without intermediate observation, then measure once."""
     plan = q.plan
-    psi = q.initial
+    psi = plan.initial()
     for sym in _working_stream(q, word):
         psi = plan.apply[sym](psi)
-    return RunOutcome(*(linalg.norm_squared(psi[idx]) for idx in (plan.acc, plan.rej, plan.non)))
+    return RunOutcome(*(linalg.norm_squared(psi[part]) for part in (plan.acc, plan.rej, plan.non)))
 
 
 def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
@@ -116,7 +116,7 @@ def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
     scans = itertools.chain.from_iterable(itertools.repeat(stream, max_scans))
     for i, (p_acc, p_rej, psi) in enumerate(_measure_many(q, scans), start=1):
         if i % len(stream) == 0:
-            reports.append(RunOutcome(p_acc, p_rej, linalg.norm_squared(psi)))
+            reports.append(RunOutcome(p_acc, p_rej, linalg.norm_squared(psi[q.plan.non])))
     return ScanReport(per_scan=tuple(reports))
 
 

@@ -94,7 +94,7 @@ def test_criterion_3_rotation_closed_form():
                     abs(psi[0] - math.cos(angle)),
                     abs(psi[1] - 1j * math.sin(angle)),
                 )
-                psi = linalg.lower(q.unitaries["a"], len(psi))(psi)
+                psi = linalg.lower(q.unitaries["a"], np.arange(len(psi)))(psi)
     ok = worst <= 1e-12
     report(3, ok, f"max amplitude deviation from closed form {worst:.2e}")
 
@@ -318,7 +318,7 @@ def test_criterion_11_property_suites():
         u = qmat * (np.diag(r) / np.abs(np.diag(r)))
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         norm_drift = max(
-            norm_drift, abs(np.linalg.norm(linalg.lower(u, len(v))(v)) - np.linalg.norm(v))
+            norm_drift, abs(np.linalg.norm(linalg.lower(u, np.arange(len(v)))(v)) - np.linalg.norm(v))
         )
 
     # probability conservation at every step of the measure-many runner

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import qfa
-from qfa import linalg, serialize
+from qfa import cli, linalg, serialize
 from qfa.automata import ClassicalAutomaton
 from qfa.cli import main
 from qfa.constructions import astar_bstar_dfa, example_qfa, modp_qfa
@@ -572,6 +572,30 @@ class TestOsErrors:
         serialize.save(astar_dfa(), str(path))
         out = str(tmp_path / "missing" / "r.json")
         self.assert_input_error(["analyze", str(path), "--reversibilize", out], capsys)
+
+
+class TestOneParser:
+    def test_one_parser_serves_every_call(self, example_file, tmp_path, capsys):
+        # main builds its parser on the first call of the process; later
+        # calls, a parse error among them, print what a fresh parser prints
+        fresh = cli.build_parser.__wrapped__()
+        assert main(["run", example_file, "aa"]) == 0
+        run_out = capsys.readouterr().out
+        assert main(["build", "modp", "--p", "5", "-o", str(tmp_path / "m.json")]) == 0
+        assert "blocks" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            fresh.parse_args(["verify", "nope"])
+        assert capsys.readouterr().err == err
+        assert "invalid choice: 'nope'" in err
+        assert main(["run", example_file, "aa"]) == 0
+        assert capsys.readouterr().out == run_out
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser().format_help() == fresh.format_help()
 
 
 class TestModuleEntryPoint:

@@ -110,7 +110,7 @@ class TestRotationAutomaton:
                     angle = 2 * math.pi * j * k / p
                     assert abs(psi[0] - math.cos(angle)) < 1e-12
                     assert abs(psi[1] - 1j * math.sin(angle)) < 1e-12
-                    psi = linalg.lower(q.unitaries["a"], len(psi))(psi)
+                    psi = linalg.lower(q.unitaries["a"], np.arange(len(psi)))(psi)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

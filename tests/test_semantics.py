@@ -35,7 +35,7 @@ from qfa.semantics import (
 )
 
 
-from tests_support import partial_row_prfa, random_qfa, sample_prfa
+from tests_support import partial_row_prfa, random_operator, random_qfa, random_unitary, sample_prfa
 
 
 class TestRunMeasureMany:
@@ -309,12 +309,6 @@ def reference_measure_once(q, word):
     return tuple(linalg.norm_squared(psi[sorted(c)]) for c in classes)
 
 
-def random_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    qm, r = np.linalg.qr(z)
-    return qm * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_dense_qfa(seed, roles=None):
     """Dense QFA over {a, b}; ``roles`` gives each state's class (n, a or r).
 
@@ -360,6 +354,50 @@ def top_level_ops_qfa():
     )
 
 
+def random_tree_qfa(seed):
+    """QFA over {a, b} whose symbols are random operator trees.
+
+    Its states fall into blocks of 4, 3 and 1 to 8 states, and each state's
+    class is drawn at random, the first three states taking one class each,
+    so halting states interleave with non-halting ones inside the blocks.
+    Each of ``a``, ``b`` and ``$`` holds a plane rotation and a permutation
+    inside block-diagonal and composed nodes, and the initial vector puts
+    mass on every state.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = [4, 3, int(rng.integers(1, 9))]
+    n = sum(sizes)
+    roles = rng.choice(list("nar"), size=n)
+    roles[:3] = rng.permutation(list("nar"))
+    initial = rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    def rotation(dim):
+        axis = int(rng.integers(dim))
+        target = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        target[axis] = 0.0
+        return linalg.PlaneRotationOp(axis, target / np.linalg.norm(target))
+
+    def mixed():
+        blocks = [rotation(4), linalg.PermutationOp(rng.permutation(3)), random_operator(rng, sizes[2], 2)]
+        return linalg.ComposedOp([linalg.BlockDiagOp(blocks), random_operator(rng, n, 3)])
+
+    tensor = linalg.TensorPowerOp(random_unitary(rng, 2), 2)
+    swap = linalg.ComposedOp([linalg.PermutationOp(rng.permutation(3)), rotation(3)])
+    return QuantumAutomaton(
+        states=tuple(f"s{i}" for i in range(n)),
+        alphabet=("a", "b"),
+        accepting=frozenset(np.flatnonzero(roles == "a").tolist()),
+        rejecting=frozenset(np.flatnonzero(roles == "r").tolist()),
+        initial=initial / np.linalg.norm(initial),
+        unitaries={
+            "^": random_operator(rng, n, 3),
+            "a": mixed(),
+            "b": linalg.BlockDiagOp([tensor, swap, random_operator(rng, sizes[2], 2)]),
+            "$": mixed(),
+        },
+    )
+
+
 # empty accepting or rejecting sets, no halting state, every state halting
 EDGE_ROLES = ("n", "a", "r", "ar", "nn", "nna", "nnr", "aarr", "nnnnnnnn", "narnarna")
 
@@ -376,6 +414,7 @@ def plan_cases():
         ("equality-3", lambda: equality_qfa(3, 0.5, 6, 0)),
         ("top-level-ops", top_level_ops_qfa),
     ]
+    cases += [(f"tree-{s}", lambda s=s: random_tree_qfa(s)) for s in range(8)]
     return cases
 
 
@@ -395,6 +434,10 @@ def all_floats(values):
     return all(type(x) is float for x in values)
 
 
+def assert_conserved(outcome):
+    assert abs(sum(outcome) - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("name, make", plan_cases(), ids=[c[0] for c in plan_cases()])
 class TestPlanAgainstOldCore:
     def test_measure_many_and_trace(self, name, make):
@@ -404,6 +447,7 @@ class TestPlanAgainstOldCore:
             want = reference_measure_many(q, ("^",) + tuple(word) + ("$",))
             assert_close(out.trace, [s[:2] for s in want])
             assert_close((out.p_acc, out.p_rej, out.p_non), want[-1])
+            assert_conserved(out.as_tuple())
             assert all_floats((out.p_acc, out.p_rej, out.p_non) + sum(out.trace, ()))
 
     def test_prefixes(self, name, make):
@@ -413,6 +457,7 @@ class TestPlanAgainstOldCore:
             want = reference_measure_many(q, ("^",) + tuple(word[:j]) + ("$",))
             assert_close(out.trace, [s[:2] for s in want])
             assert_close((out.p_acc, out.p_rej, out.p_non), want[-1])
+            assert_conserved(out.as_tuple())
             assert all_floats((out.p_acc, out.p_rej, out.p_non) + sum(out.trace, ()))
 
     def test_every_scan(self, name, make):
@@ -423,6 +468,8 @@ class TestPlanAgainstOldCore:
             rep = run_multiscan(q, word, 3)
             got = [d.as_tuple() for d in rep.per_scan]
             assert_close(got, want[len(stream) - 1 :: len(stream)])
+            for outcome in got:
+                assert_conserved(outcome)
             assert all_floats(sum(got, ()))
 
     def test_measure_once(self, name, make):
@@ -430,12 +477,14 @@ class TestPlanAgainstOldCore:
         for word in sample_words(len(name), q.alphabet):
             got = run_measure_once(q, word).as_tuple()
             assert_close(got, reference_measure_once(q, word))
+            assert_conserved(got)
             assert all_floats(got)
 
 
 class TestPlan:
     def test_built_once_per_automaton(self, monkeypatch):
         built = []
+        lowered = []
         stages = []
 
         class CountingPlan(automata.RunPlan):
@@ -444,11 +493,18 @@ class TestPlan:
                 super().__init__(q)
 
         class CountingStage(linalg._Stage):
-            def __init__(self, op):
-                stages.append(op)
-                super().__init__(op)
+            def __init__(self, *args):
+                stages.append(args)
+                super().__init__(*args)
+
+        lower = linalg.lower
+
+        def counting_lower(m, pos):
+            lowered.append(m)
+            return lower(m, pos)
 
         monkeypatch.setattr(automata, "RunPlan", CountingPlan)
+        monkeypatch.setattr(linalg, "lower", counting_lower)
         monkeypatch.setattr(linalg, "_Stage", CountingStage)
         dense, structured = random_dense_qfa(3), equality_qfa(3, 0.5, 6, 0)
         for q in (dense, structured):
@@ -458,18 +514,59 @@ class TestPlan:
                 run_multiscan(q, "a", 2)
                 run_measure_once(q, "a")
         assert [id(q) for q in built] == [id(dense), id(structured)]
+        assert [id(m) for m in lowered] == [id(m) for q in built for m in q.unitaries.values()]
         one_lowering = sum(len(linalg._factors(u)) for u in structured.unitaries.values())
         assert one_lowering > len(structured.unitaries)  # its $ lowers to several stages
         assert len(stages) == one_lowering
 
     def test_plan_kind_follows_operator_types(self):
-        dense = random_dense_qfa(5, "nnar")
-        assert dense.plan.ops["a"].shape == (2, 4)
-        structured = modp_qfa(5, seed=0)
-        assert structured.plan.ops is structured.plan.apply
-        assert all(callable(op) and not isinstance(op, np.ndarray) for op in structured.plan.ops.values())
-        assert structured.plan.begin()[2].shape == (structured.dim,)
-        assert dense.plan.begin()[2].shape == (2,)
+        # both plans keep the non-halting, then the accepting, then the
+        # rejecting states, each in index order, and lower into that order
+        rng = np.random.default_rng(0)
+        for q in (random_dense_qfa(5, "anrnan"), modp_qfa(5, seed=0)):
+            plan, n = q.plan, q.dim
+            dense = all(isinstance(m, np.ndarray) for m in q.unitaries.values())
+            order = sorted(q.non_halting) + sorted(q.accepting) + sorted(q.rejecting)
+            k, h = len(q.non_halting), n - len(q.rejecting)
+            assert (plan.non, plan.acc, plan.rej) == (slice(k), slice(k, h), slice(h, n))
+            assert np.array_equal(plan.initial(), q.initial[order])
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            for sym, m in q.unitaries.items():
+                assert_close(plan.apply[sym](v[order]), (v @ linalg.to_dense(m))[order])
+            p_acc, p_rej, psi = plan.begin()
+            for sym in ("^", "a", "a", "$"):
+                before = psi.copy()
+                d_acc, d_rej, out = plan.observe(psi, plan.ops[sym])
+                assert np.array_equal(psi, before)  # a residue is never written to
+                full = np.zeros(n, dtype=complex)
+                full[: len(psi)] = psi
+                want = full @ linalg.to_dense(q.unitaries[sym])[np.ix_(order, order)]
+                assert_close((d_acc, d_rej), (linalg.norm_squared(want[k:h]), linalg.norm_squared(want[h:])))
+                assert_close(out[:k], want[:k])
+                # a dense residue lives in the non-halting subspace, a
+                # structured one is a full vector with its halting tail cleared
+                assert out.shape == ((k,) if dense else (n,))
+                assert not out[k:].any()
+                psi = out
+            assert dense == (plan.ops is not plan.apply)
+
+    def test_amplified_steps_allocate_at_most_one_and_a_half_vectors(self):
+        # the a step copies its input once and runs the tensor kernel in place
+        # on the non-halting slice; the $ step is one gather; neither
+        # observation allocates
+        q = modp_qfa_amplified(31, 0.6, seed=0)
+        plan = q.plan
+        psi = plan.begin()[2]
+        for sym in ("^", "a"):
+            psi = plan.observe(psi, plan.ops[sym])[2]
+        for sym, vectors in (("a", 1.5), ("$", 1.0)):
+            tracemalloc.start()
+            try:
+                plan.observe(psi, plan.ops[sym])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= vectors * psi.nbytes + 64 * 1024, (sym, peak / psi.nbytes)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 4), (4, 4), (3,)])
     def test_wrongly_shaped_dense_unitary(self, shape):

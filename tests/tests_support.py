@@ -19,6 +19,7 @@ from qfa.automata import (
 )
 from qfa.analysis import DEFAULT_MONOID_CAP, ConstructionWitness, _fates, _monoid, _plain_table, _require_plain
 from qfa.constructions import is_prime
+from qfa.linalg import BlockDiagOp, ComposedOp, IdentityOp, PermutationOp, PlaneRotationOp, TensorPowerOp
 from qfa.semantics import _working_stream
 from qfa.serialize import (
     FileFormatError,
@@ -55,6 +56,51 @@ def random_qfa(seed: int) -> QuantumAutomaton:
         initial=initial,
         unitaries=unitaries,
     )
+
+
+def random_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_operator(rng, dim, depth):
+    """Random structured operator of the given dimension, nested up to ``depth``."""
+    kinds = ["identity", "dense", "permutation"]
+    if dim >= 2:
+        kinds.append("rotation")
+    powers = [(k, c) for k in (2, 3) for c in range(1, 6) if k**c == dim]
+    if powers:
+        kinds += ["tensor", "tensor"]
+    if depth > 0:
+        kinds += ["blocks", "blocks", "composed"]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "identity":
+        return IdentityOp(dim)
+    if kind == "dense":
+        return random_unitary(rng, dim)
+    if kind == "permutation":
+        return PermutationOp(rng.permutation(dim))
+    if kind == "rotation":
+        axis = int(rng.integers(dim))
+        target = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        target[axis] = 0.0
+        return PlaneRotationOp(axis, target / np.linalg.norm(target))
+    if kind == "tensor":
+        k, c = powers[int(rng.integers(len(powers)))]
+        return TensorPowerOp(random_unitary(rng, k), c)
+    if kind == "composed":
+        count = int(rng.integers(1, 4))
+        return ComposedOp([random_operator(rng, dim, depth - 1) for _ in range(count)])
+    # direct sum: cut dim into parts, often repeating one part size so that
+    # equal-shape tensor powers share a batch
+    parts = []
+    left = dim
+    while left:
+        size = min(left, int(rng.choice([1, 2, 4, 4, 8, 9, 16, 32])))
+        parts += [size] * min(int(rng.integers(1, 4)), left // size)
+        left = dim - sum(parts)
+    return BlockDiagOp([random_operator(rng, size, depth - 1) for size in parts])
 
 
 def partial_row_prfa(seed: int, max_states: int = 6) -> ProbabilisticAutomaton:

@@ -20,10 +20,18 @@ The first two run every word over {a, b} up to length 9 (1,023 words, the
 
 Each (automaton, runner) pair gets one warm-up pass over the first 50 words,
 then 7 timed passes; the median and quartiles of the per-word time are
-reported in microseconds.  OpenBLAS is pinned to one thread before numpy
-is imported.  ``--src`` points at the ``src`` directory of the checkout to
-time (default: this checkout), so two versions can be measured with the same
-script.  The result is stored under ``--label`` in ``BENCH_runners.json`` at
+reported in microseconds.
+
+For each structured automaton it also times one measure-many step on the
+residue after ``^ a``, for the letter ``a`` and for the right endmarker: the
+whole step (``plan.observe(psi, plan.ops[sym])``), the lowered operator alone
+(``apply``) and the observation alone (``observe``: the step with an operator
+that returns a ready output vector).  Each is timed as 7 passes of
+``STEP_REPS`` calls after one warm-up pass, reported like the runners.
+
+OpenBLAS is pinned to one thread before numpy is imported.  ``--src`` points
+at the ``src`` directory of the checkout to time (default: this checkout), so
+two versions can be measured with the same script.  The result is stored under ``--label`` in ``BENCH_runners.json`` at
 the repository root; other labels already in the file are kept.
 """
 
@@ -50,6 +58,7 @@ STRUCTURED_MAX_LEN = 40
 SCANS = 2
 WARMUP_WORDS = 50
 RUNS = 7
+STEP_REPS = 20
 OUT = os.path.join(ROOT, "BENCH_runners.json")
 
 
@@ -144,6 +153,38 @@ def time_runner(fn, words, runs):
     return {"median_us": round(median, 3), "q1_us": round(q1, 3), "q3_us": round(q3, 3)}
 
 
+def time_call(fn, runs, reps):
+    """Median and quartiles of the time of one call of ``fn``, in microseconds."""
+    for _ in range(reps):
+        fn()
+    per_call = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        per_call.append((time.perf_counter() - t0) / reps * 1e6)
+    q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
+    return {"median_us": round(median, 3), "q1_us": round(q1, 3), "q3_us": round(q3, 3)}
+
+
+def time_steps(q, runs):
+    """One measure-many step of ``a`` and of ``$``, split into apply and observe."""
+    plan = q.plan
+    psi = plan.begin()[2]
+    for sym in ("^", "a"):
+        psi = plan.observe(psi, plan.ops[sym])[2]
+    steps = {}
+    for sym in ("a", "$"):
+        op = plan.ops[sym]
+        ready = op(psi)  # observing it again costs the same: masses and a clear
+        steps[sym] = {
+            "step": time_call(lambda: plan.observe(psi, op), runs, STEP_REPS),
+            "apply": time_call(lambda: op(psi), runs, STEP_REPS),
+            "observe": time_call(lambda: plan.observe(psi, lambda _: ready), runs, STEP_REPS),
+        }
+    return steps
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
@@ -162,6 +203,7 @@ def main(argv=None) -> int:
     cases += structured_cases(constructions)
 
     rows = []
+    step_rows = []
     for name, dim, source, q, prfa in cases:
         sweep = sweeps[tuple(q.alphabet)]
         runners = {
@@ -175,6 +217,11 @@ def main(argv=None) -> int:
         timings = {r: time_runner(fn, sweep, RUNS) for r, fn in runners.items()}
         rows.append({"automaton": name, "dim": dim, "source": source, "per_word": timings})
         print(name, {r: t["median_us"] for r, t in timings.items()}, file=sys.stderr)
+        if name.startswith("structured"):
+            steps = time_steps(q, RUNS)
+            step_rows.append({"automaton": name, "dim": dim, "source": source, "per_step": steps})
+            print(name, {s: {k: t["median_us"] for k, t in p.items()} for s, p in steps.items()},
+                  file=sys.stderr)
 
     result = {
         "machine": machine_info(np),
@@ -185,8 +232,10 @@ def main(argv=None) -> int:
             "runs": RUNS,
             "statistic": "median and quartiles over runs of the mean time per word, microseconds",
             "multiscan_scans": SCANS,
+            "steps": f"the a and $ steps on the residue after ^ a, {RUNS} passes of {STEP_REPS} calls",
         },
         "results": rows,
+        "steps": step_rows,
     }
     store_result(OUT, args.label, result)
     return 0
