@@ -1,16 +1,15 @@
 """Minimal-DFA machinery and structural decision procedures.
 
-Contains DFA minimization (Hopcroft partition refinement with canonical BFS
-renaming), detection of the two forbidden constructions that rule out
-high-probability quantum / probabilistic-reversible recognition, the
-non-reversibility elimination transform, transition-monoid enumeration, and
-language equivalence with shortest counterexamples.
+Contains DFA minimization (Moore refinement on the transition table, with
+canonical BFS renaming), detection of the two forbidden constructions that
+rule out high-probability quantum / probabilistic-reversible recognition,
+the non-reversibility elimination transform, transition-monoid enumeration,
+and language equivalence with shortest counterexamples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 
 import numpy as np
 
@@ -77,75 +76,51 @@ def _reach(adj: np.ndarray, seeds, ptr=None) -> np.ndarray:
 
 
 def minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
-    """Unique minimal DFA for the same language, states renamed in BFS order."""
+    """Unique minimal DFA for the same language, states renamed in BFS order.
+
+    Moore refinement on the reachable rows of ``c.table``: each round, a
+    state's class and the classes of its successors name its next class,
+    keyed one letter at a time so that every key stays below n².  Rounds
+    stop when the class count stops growing.  The classes are then numbered
+    breadth-first from the start class, with the letters in alphabet order,
+    and each class reads the row of its least state.
+    """
     _require_plain(c, "minimize_dfa")
-    alive = np.flatnonzero(_reach(c.table, [c.start])).tolist()
-
-    # Hopcroft refinement over the reachable part
-    inverse = {}
-    for s in alive:
-        for a in c.alphabet:
-            inverse.setdefault((c.transitions[(s, a)], a), set()).add(s)
-    final = frozenset(s for s in alive if s in c.accepting)
-    nonfinal = frozenset(alive) - final
-    partition = {b for b in (final, nonfinal) if b}
-    work = set()
-    if final and nonfinal:
-        work.add(final if len(final) <= len(nonfinal) else nonfinal)
-    block_of = {s: b for b in partition for s in b}
-    while work:
-        splitter = work.pop()
-        for a in c.alphabet:
-            hit = {}
-            for t in splitter:
-                for s in inverse.get((t, a), ()):
-                    b = block_of[s]
-                    hit.setdefault(b, set()).add(s)
-            for block, inside in hit.items():
-                if len(inside) == len(block):
-                    continue
-                part1 = frozenset(inside)
-                part2 = block - part1
-                partition.remove(block)
-                partition.update((part1, part2))
-                for s in part1:
-                    block_of[s] = part1
-                for s in part2:
-                    block_of[s] = part2
-                if block in work:
-                    work.remove(block)
-                    work.update((part1, part2))
-                else:
-                    work.add(part1 if len(part1) <= len(part2) else part2)
-
-    # canonical renaming by BFS from the start block
-    order = []
-    seen = set()
-    queue = deque([block_of[c.start]])
-    seen.add(block_of[c.start])
-    while queue:
-        b = queue.popleft()
-        order.append(b)
-        rep = min(b)
-        for a in c.alphabet:
-            nb = block_of[c.transitions[(rep, a)]]
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    number = {b: i for i, b in enumerate(order)}
-    states = tuple(f"m{i}" for i in range(len(order)))
-    transitions = {}
-    for b, i in number.items():
-        rep = min(b)
-        for a in c.alphabet:
-            transitions[(i, a)] = number[block_of[c.transitions[(rep, a)]]]
-    accepting = frozenset(number[b] for b in order if min(b) in c.accepting)
-    return ClassicalAutomaton(
-        states=states,
+    alive = np.flatnonzero(_reach(c.table, [c.start]))
+    rows = c.table[alive]
+    missing = np.argwhere(rows < 0)
+    if len(missing):
+        s, k = missing[0]
+        raise ValueError(
+            "minimize_dfa needs every transition of a reachable state: "
+            f"{c.states[alive[s]]} has none on {c.alphabet[k]!r}"
+        )
+    local = np.zeros(c.n_states, dtype=np.intp)
+    local[alive] = np.arange(len(alive))
+    rows = local[rows]
+    accepting = np.zeros(c.n_states, dtype=bool)
+    accepting[sorted(c.accepting)] = True
+    _, key = np.unique(accepting[alive], return_inverse=True)
+    count = 0
+    while key.max() + 1 > count:
+        cls, count = key, key.max() + 1
+        for column in rows.T:
+            _, key = np.unique(key * count + cls[column], return_inverse=True)
+    _, least = np.unique(cls, return_index=True)  # alive is sorted, so the first is the least
+    successors = cls[rows[least]]
+    order, number = [int(cls[local[c.start]])], np.full(count, -1)
+    number[order[0]] = 0
+    for b in order:
+        for t in successors[b].tolist():
+            if number[t] < 0:
+                number[t] = len(order)
+                order.append(t)
+    return ClassicalAutomaton.from_table(
+        number[successors[order]].astype(np.int32),
+        states=tuple(f"m{i}" for i in range(count)),
         alphabet=tuple(c.alphabet),
-        start=number[block_of[c.start]],
-        accepting=accepting,
-        transitions=transitions,
+        start=0,
+        accepting=frozenset(np.flatnonzero(accepting[alive[least[order]]]).tolist()),
         halting_mode=END_OF_WORD,
     )
 
@@ -213,8 +188,8 @@ def _shortest_pair_word(t1: np.ndarray, t2: np.ndarray, alphabet, start: tuple, 
     return None
 
 
-def _merge_table(c: ClassicalAutomaton) -> list:
-    """``merge[q1][q2]`` is True when some word y has q1·y = q2 and q2·y = q2.
+def _merge_table(c: ClassicalAutomaton) -> np.ndarray:
+    """``merge[q1, q2]`` is True when some word y has q1·y = q2 and q2·y = q2.
 
     One reverse BFS over the pair graph from each diagonal pair (q2, q2)
     marks every pair that can reach it, so the whole table costs O(n^3·|Σ|).
@@ -224,7 +199,7 @@ def _merge_table(c: ClassicalAutomaton) -> list:
     for k, column in enumerate(c.table.T.tolist()):
         for s, t in enumerate(column):
             preds[k][t].append(s)
-    merge = [[False] * n for _ in range(n)]
+    merge = np.zeros((n, n), dtype=bool)
     for q2 in range(n):
         seen = bytearray(n * n)
         seen[q2 * n + q2] = 1
@@ -237,8 +212,7 @@ def _merge_table(c: ClassicalAutomaton) -> list:
                         if not seen[p0 * n + r0]:
                             seen[p0 * n + r0] = 1
                             frontier.append((p0, r0))
-        for q1 in range(n):
-            merge[q1][q2] = bool(seen[q1 * n + q2])
+        merge[:, q2] = np.frombuffer(seen, dtype=bool)[q2::n]
     return merge
 
 
@@ -252,18 +226,17 @@ def find_forbidden_construction(c: ClassicalAutomaton):
     ConstructionWitness or None.
     """
     _require_plain(c, "find_forbidden_construction")
-    n = c.n_states
     halt_accept, halt_reject, merge = _facts(c)
-    eligible = set(range(n)) - halt_accept - halt_reject
-    for q1 in range(n):
-        for q2 in range(n):
-            if q1 != q2 and q2 in eligible and merge[q1][q2]:
-                x = _shortest_pair_word(
-                    c.table, c.table, c.alphabet, (q1, q2),
-                    lambda p1, p2: (p1 == q2) & (p2 == q2),
-                )
-                return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=x)
-    return None
+    eligible = np.ones(c.n_states, dtype=bool)
+    eligible[list(halt_accept | halt_reject)] = False
+    pairs = np.argwhere(merge & eligible & ~np.eye(c.n_states, dtype=bool))
+    if not len(pairs):
+        return None
+    q1, q2 = pairs[0].tolist()
+    x = _shortest_pair_word(
+        c.table, c.table, c.alphabet, (q1, q2), lambda p1, p2: (p1 == q2) & (p2 == q2)
+    )
+    return ConstructionWitness(q1=c.states[q1], q2=c.states[q2], x=x)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -382,7 +355,7 @@ def find_prfa_forbidden_construction(c: ClassicalAutomaton, cap: int = DEFAULT_M
     eligible = np.ones(n, dtype=bool)
     eligible[list(halt_accept | halt_reject)] = False
     # targets[q1, q2]: some y takes q1 to q2 and fixes q2, both eligible
-    targets = np.array(merge, dtype=bool).reshape(n, n) & eligible & eligible[:, None]
+    targets = merge & eligible & eligible[:, None]
     np.fill_diagonal(targets, False)
     sources = np.flatnonzero(targets.any(axis=1))
     if not len(sources):  # no y merges two eligible states, e.g. every letter a permutation

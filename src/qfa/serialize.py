@@ -211,24 +211,6 @@ def qfa_from_dict(doc: dict) -> QuantumAutomaton:
     )
 
 
-def classical_to_dict(c: ClassicalAutomaton) -> dict:
-    flag = c.halting_mode == HALT_ON_ENTER
-    transitions = {}
-    for (s, a), t in sorted(c.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        transitions.setdefault(c.states[s], {})[a] = c.states[t]
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "rfa" if flag else "dfa",
-        "states": list(c.states),
-        "alphabet": list(c.alphabet),
-        "start": c.states[c.start],
-        "accepting": sorted(c.states[i] for i in c.accepting),
-        "rejecting": sorted(c.states[i] for i in c.rejecting),
-        "halting_mode": c.halting_mode,
-        "transitions": transitions,
-    }
-
-
 def _json_array(items: list):
     """Pieces of a JSON array of encoded strings, one level deep at indent 1."""
     if not items:
@@ -266,14 +248,14 @@ def _json_rows(table: np.ndarray, names: np.ndarray, keys: list):
 
 
 def _classical_text(c: ClassicalAutomaton):
-    """The text of ``json.dump(classical_to_dict(c), fh, indent=1)``, as pieces
-    made from ``c.table``.
+    """The text of a dfa or rfa file as ``json.dump`` writes it at indent 1,
+    in pieces made from ``c.table``.
 
     Each name is encoded once.  Rows hold their symbols in sorted order, and
-    a state without transitions has no row, as in the dict.  Refuses, before
-    any text is made, what a file cannot hold or the reader would refuse:
-    names or symbols that are not strings, repeated state names, and
-    transitions that name no state or symbol of the automaton.
+    a state without transitions has no row.  Refuses, before any text is
+    made, what a file cannot hold or the reader would refuse: names or
+    symbols that are not strings, repeated state names, and transitions that
+    name no state or symbol of the automaton.
     """
     symbols = c.symbols
     if not all(isinstance(x, str) for x in chain(c.states, symbols)):
@@ -419,8 +401,6 @@ def _weighted(index: dict, pairs, what: str) -> list:
 def automaton_to_dict(auto) -> dict:
     if isinstance(auto, QuantumAutomaton):
         return qfa_to_dict(auto)
-    if isinstance(auto, ClassicalAutomaton):
-        return classical_to_dict(auto)
     if isinstance(auto, ProbabilisticAutomaton):
         return prfa_to_dict(auto)
     raise FileFormatError(f"cannot serialize {type(auto).__name__}")
@@ -443,11 +423,13 @@ def automaton_from_dict(doc: dict):
 
 
 def save(auto, path: str):
-    """Write ``json.dump(automaton_to_dict(auto), fh, indent=1)`` and a newline.
+    """Write an automaton file: its JSON object at indent 1, and a newline.
 
-    A classical automaton is written from its transition table, a bounded
-    number of pieces at a time; the bytes are the same.  One that no file can
-    hold is refused before the file is opened.
+    A quantum or probabilistic automaton is written as
+    ``json.dump(automaton_to_dict(auto), fh, indent=1)``.  A classical one is
+    written from its transition table by ``_classical_text``, a bounded
+    number of pieces at a time; one that no file can hold is refused before
+    the file is opened.
     """
     text = _classical_text(auto) if isinstance(auto, ClassicalAutomaton) else None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -8,7 +8,7 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from qfa import analysis, semantics, serialize
+from qfa import analysis, automata, semantics, serialize
 from qfa.analysis import (
     ConstructionWitness,
     dfa_equivalent,
@@ -25,7 +25,9 @@ from tests_support import (
     MonoidElement,
     assert_readers_agree,
     astar_dfa,
+    classical_to_dict,
     parity_dfa,
+    reference_minimize_dfa,
     reference_non_reversibilities,
     reference_reachable,
     sigma_star_dfa,
@@ -538,7 +540,86 @@ def words_up_to(alphabet, max_len):
     )
 
 
+def minimize_oracle_corpus():
+    """DFAs on which ``minimize_dfa`` must match the dict minimizer it replaced.
+
+    Seeded random DFAs of 1-40 states over 1-3 letters, unsorted alphabets
+    included, with any start state and any share of accepting states; the
+    block family; the differential corpus; and edge cases: unreachable
+    states, some without transitions, all or no states accepting, a single
+    state, and an empty alphabet.
+    """
+    rng = random.Random(2101)
+    corpus = []
+    for _ in range(3000):
+        n, alphabet = rng.randint(1, 40), rng.choice(("a", "ab", "ba", "abc", "cab"))
+        share = rng.choice((0.0, 0.2, 0.5, 1.0))
+        corpus.append(ClassicalAutomaton(
+            states=tuple(f"s{i}" for i in range(n)),
+            alphabet=tuple(alphabet),
+            start=rng.randrange(n),
+            accepting=frozenset(s for s in range(n) if rng.random() < share),
+            transitions={(s, a): rng.randrange(n) for s in range(n) for a in alphabet},
+        ))
+    corpus += [block_dfa(m) for m in range(1, 13)]
+    corpus += differential_corpus()
+    # states 3 and 4 are unreachable from the start, and 4 has no transitions
+    corpus.append(ClassicalAutomaton(
+        states=("p", "q", "r", "u", "v"),
+        alphabet=("b", "a"),
+        start=2,
+        accepting=frozenset({0, 4}),
+        transitions={(0, "a"): 1, (0, "b"): 2, (1, "a"): 0, (1, "b"): 1, (2, "a"): 0, (2, "b"): 2,
+                     (3, "a"): 4, (3, "b"): 0},
+    ))
+    corpus.append(ClassicalAutomaton(
+        states=("only",), alphabet=("a",), start=0, accepting=frozenset(), transitions={(0, "a"): 0},
+    ))
+    corpus.append(ClassicalAutomaton(
+        states=("x", "y"), alphabet=(), start=1, accepting=frozenset({1}), transitions={},
+    ))
+    return corpus
+
+
 class TestMinimizeDfa:
+    def test_matches_the_dict_minimizer(self):
+        corpus = minimize_oracle_corpus()
+        assert len(corpus) == 3000 + 12 + 347 + 3
+        for c in corpus:
+            got, want = minimize_dfa(c), reference_minimize_dfa(c)
+            assert got == want, c
+            assert got.table.dtype == want.table.dtype and np.array_equal(got.table, want.table), c
+
+    def test_missing_reachable_transition_raises(self):
+        c = ClassicalAutomaton(
+            states=("s0", "s1", "s2"),
+            alphabet=("a", "b"),
+            start=0,
+            accepting=frozenset({1}),
+            transitions={(0, "a"): 1, (0, "b"): 0, (1, "a"): 0},
+        )
+        with pytest.raises(ValueError, match="s1 has none on 'b'"):
+            minimize_dfa(c)
+        # state s2 is unreachable, so its missing row is not read
+        assert minimize_dfa(dataclasses.replace(c, transitions={**c.transitions, (1, "b"): 1})).n_states == 2
+
+    def test_analyze_and_equiv_never_build_the_dict(self, monkeypatch, tmp_path, capsys):
+        path, out = str(tmp_path / "blocks.json"), str(tmp_path / "rfa.json")
+        serialize.save(block_dfa(10), path)
+        derived = []
+        get = automata._Transitions.__get__
+
+        def spy(self, c, owner=None):
+            if c is not None and "_transitions" not in c.__dict__:
+                derived.append(c.n_states)
+            return get(self, c, owner)
+
+        monkeypatch.setattr(automata._Transitions, "__get__", spy)
+        assert main(["analyze", path, "--reversibilize", out]) == 0
+        assert main(["equiv", path, out]) == 0
+        assert "equivalent: yes" in capsys.readouterr().out
+        assert derived == []
+
     def test_already_minimal(self):
         m = minimize_dfa(astar_bstar_dfa())
         assert m.n_states == 3
@@ -665,13 +746,13 @@ class TestDetectorsAgainstOldSearches:
         outcomes = []
         for dfa in corpus:
             try:
-                want = serialize.classical_to_dict(reference_reversibilize(dfa))
+                want = classical_to_dict(reference_reversibilize(dfa))
             except analysis.NotReversibilizableError:
                 with pytest.raises(analysis.NotReversibilizableError):
                     reversibilize(dfa)
                 outcomes.append(False)
                 continue
-            assert serialize.classical_to_dict(reversibilize(dfa)) == want, dfa
+            assert classical_to_dict(reversibilize(dfa)) == want, dfa
             outcomes.append(True)
         assert (outcomes.count(True), outcomes.count(False)) == (185, 162)
 
@@ -862,7 +943,7 @@ def test_written_block_rfa_bytes_are_pinned(m, tmp_path):
 
 def oracle_bytes(c) -> bytes:
     """What ``serialize.save`` wrote before it streamed from the table."""
-    return (json.dumps(serialize.classical_to_dict(c), indent=1) + "\n").encode("utf-8")
+    return (json.dumps(classical_to_dict(c), indent=1) + "\n").encode("utf-8")
 
 
 class TestTableFirstAutomata:
@@ -941,7 +1022,7 @@ class TestTableFirstAutomata:
             serialize.save(c, str(path))
             doc = json.loads(path.read_text(encoding="utf-8"))
             assert_readers_agree(doc)
-            assert serialize.classical_to_dict(serialize.load(str(path))) == serialize.classical_to_dict(c)
+            assert classical_to_dict(serialize.load(str(path))) == classical_to_dict(c)
 
 
 class TestClassicalWriter:
@@ -1046,7 +1127,7 @@ class TestReversibilizeBudget:
     def test_cap_trips_in_the_same_round(self, monkeypatch, largest_checked):
         dfa = minimize_dfa(block_dfa(4))
         monkeypatch.setattr(analysis, "MAX_REVERSIBILIZED_STATES", largest_checked)
-        assert serialize.classical_to_dict(reversibilize(dfa)) == serialize.classical_to_dict(
+        assert classical_to_dict(reversibilize(dfa)) == classical_to_dict(
             reference_reversibilize(dfa)
         )
         monkeypatch.setattr(analysis, "MAX_REVERSIBILIZED_STATES", largest_checked - 1)

@@ -4,6 +4,7 @@ and independent oracles that the library itself does not need."""
 import itertools
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from qfa.constructions import is_prime
 from qfa.linalg import BlockDiagOp, ComposedOp, IdentityOp, PermutationOp, PlaneRotationOp, TensorPowerOp
 from qfa.semantics import _working_stream
 from qfa.serialize import (
+    FORMAT_VERSION,
     FileFormatError,
     _alphabet,
     _list,
@@ -246,6 +248,106 @@ def reference_reachable(transitions: dict, alphabet, origin: int) -> set:
                 seen.add(t)
                 frontier.append(t)
     return seen
+
+
+def reference_minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
+    """Oracle: the dict minimizer that ``analysis.minimize_dfa`` replaced.
+
+    Hopcroft partition refinement over the states reachable from the start,
+    then the classes numbered by BFS from the start class with the letters in
+    alphabet order, each class reading the row of its least state.  A missing
+    reachable transition ends in a KeyError.
+    """
+    _require_plain(c, "minimize_dfa")
+    alive = sorted(reference_reachable(c.transitions, c.alphabet, c.start))
+
+    # Hopcroft refinement over the reachable part
+    inverse = {}
+    for s in alive:
+        for a in c.alphabet:
+            inverse.setdefault((c.transitions[(s, a)], a), set()).add(s)
+    final = frozenset(s for s in alive if s in c.accepting)
+    nonfinal = frozenset(alive) - final
+    partition = {b for b in (final, nonfinal) if b}
+    work = set()
+    if final and nonfinal:
+        work.add(final if len(final) <= len(nonfinal) else nonfinal)
+    block_of = {s: b for b in partition for s in b}
+    while work:
+        splitter = work.pop()
+        for a in c.alphabet:
+            hit = {}
+            for t in splitter:
+                for s in inverse.get((t, a), ()):
+                    b = block_of[s]
+                    hit.setdefault(b, set()).add(s)
+            for block, inside in hit.items():
+                if len(inside) == len(block):
+                    continue
+                part1 = frozenset(inside)
+                part2 = block - part1
+                partition.remove(block)
+                partition.update((part1, part2))
+                for s in part1:
+                    block_of[s] = part1
+                for s in part2:
+                    block_of[s] = part2
+                if block in work:
+                    work.remove(block)
+                    work.update((part1, part2))
+                else:
+                    work.add(part1 if len(part1) <= len(part2) else part2)
+
+    # canonical renaming by BFS from the start block
+    order = []
+    seen = set()
+    queue = deque([block_of[c.start]])
+    seen.add(block_of[c.start])
+    while queue:
+        b = queue.popleft()
+        order.append(b)
+        rep = min(b)
+        for a in c.alphabet:
+            nb = block_of[c.transitions[(rep, a)]]
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    number = {b: i for i, b in enumerate(order)}
+    states = tuple(f"m{i}" for i in range(len(order)))
+    transitions = {}
+    for b, i in number.items():
+        rep = min(b)
+        for a in c.alphabet:
+            transitions[(i, a)] = number[block_of[c.transitions[(rep, a)]]]
+    accepting = frozenset(number[b] for b in order if min(b) in c.accepting)
+    return ClassicalAutomaton(
+        states=states,
+        alphabet=tuple(c.alphabet),
+        start=number[block_of[c.start]],
+        accepting=accepting,
+        transitions=transitions,
+        halting_mode=END_OF_WORD,
+    )
+
+
+def classical_to_dict(c: ClassicalAutomaton) -> dict:
+    """Oracle: the dict of a dfa or rfa file, built from ``transitions``;
+    ``serialize.save`` writes ``json.dump`` of it at indent 1 from the table."""
+    flag = c.halting_mode == HALT_ON_ENTER
+    transitions = {}
+    for (s, a), t in sorted(c.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+        transitions.setdefault(c.states[s], {})[a] = c.states[t]
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "rfa" if flag else "dfa",
+        "states": list(c.states),
+        "alphabet": list(c.alphabet),
+        "start": c.states[c.start],
+        "accepting": sorted(c.states[i] for i in c.accepting),
+        "rejecting": sorted(c.states[i] for i in c.rejecting),
+        "halting_mode": c.halting_mode,
+        "transitions": transitions,
+    }
 
 
 def reference_non_reversibilities(transitions: dict, key=None) -> list:
