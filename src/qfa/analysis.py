@@ -115,12 +115,12 @@ def minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
             if number[t] < 0:
                 number[t] = len(order)
                 order.append(t)
-    return ClassicalAutomaton.from_table(
-        number[successors[order]].astype(np.int32),
+    return ClassicalAutomaton(
         states=tuple(f"m{i}" for i in range(count)),
         alphabet=tuple(c.alphabet),
         start=0,
         accepting=frozenset(np.flatnonzero(accepting[alive[least[order]]]).tolist()),
+        table=number[successors[order]].astype(np.int32),
         halting_mode=END_OF_WORD,
     )
 
@@ -493,13 +493,13 @@ def reversibilize(c: ClassicalAutomaton) -> ClassicalAutomaton:
     table[:n, :k] = np.where(rounds_table[keep] >= 0, remap[rounds_table[keep]], -1)
     table[alive, k], table[alive, k + 1] = alive, sinks
     names += [f"{'acc' if v else 'rej'}({names[s]})" for s, v in zip(alive.tolist(), verdicts.tolist())]
-    out = ClassicalAutomaton.from_table(
-        table,
+    out = ClassicalAutomaton(
         states=tuple(names),
         alphabet=tuple(c.alphabet),
         start=int(remap[start]),
         accepting=frozenset(np.flatnonzero(fate == 2).tolist() + sinks[verdicts].tolist()),
         rejecting=frozenset(np.flatnonzero(fate == 3).tolist() + sinks[~verdicts].tolist()),
+        table=table,
         halting_mode=HALT_ON_ENTER,
     )
     if np.bincount((table * (k + 2) + np.arange(k + 2))[table >= 0]).max(initial=0) > 1:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -156,53 +155,38 @@ class RunPlan:
         self.begin = begin
 
 
-class _Transitions:
-    """The ``transitions`` field: the dict given to the constructor, or else
-    one made from ``table`` when first read."""
-
-    def __get__(self, c, owner=None):
-        if c is None:
-            return None  # the field's default: no dict given
-        if "_transitions" not in c.__dict__:
-            rows, cols = np.nonzero(c.table >= 0)
-            keys = zip(rows.tolist(), map(c.symbols.__getitem__, cols.tolist()))
-            c.__dict__["_transitions"] = dict(zip(keys, c.table[rows, cols].tolist()))
-        return c.__dict__["_transitions"]
-
-    def __set__(self, c, value):
-        if value is not None:
-            c.__dict__["_transitions"] = value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalAutomaton:
     """Deterministic automaton, either a plain DFA or a halt-on-enter RFA.
 
     In ``end-of-word`` mode acceptance is decided by the final state and
     endmarkers play no role.  In ``halt-on-enter`` mode the automaton reads
     ^ word $ and halts as soon as it enters an accepting or rejecting state;
-    halting states have no outgoing transitions.  It is built from a
-    ``transitions`` dict, compiled into ``table`` on first use, or by
-    ``from_table``, which makes the dict only when it is read.
+    halting states have no outgoing transitions.  ``table`` is an int32
+    array of shape ``(n_states, len(symbols))``: ``table[s, k]`` is the
+    target of state s on ``symbols[k]``, -1 where there is none.  Two
+    automata are equal when their fields are and their tables hold the same
+    entries; like the table, an automaton is not hashable.
     """
 
     states: tuple
     alphabet: tuple
     start: int
     accepting: frozenset
+    table: np.ndarray
     rejecting: frozenset = frozenset()
-    transitions: dict = _Transitions()
     halting_mode: str = END_OF_WORD
 
     def __post_init__(self):
         _check_alphabet(self.alphabet)
 
-    @classmethod
-    def from_table(cls, table: np.ndarray, **fields) -> "ClassicalAutomaton":
-        """The automaton with this ``table`` and the other constructor ``fields``."""
-        c = cls(**fields)
-        c.__dict__.update(table=table, strays=0)
-        return c
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = ("states", "alphabet", "start", "accepting", "rejecting", "halting_mode")
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and np.array_equal(
+            self.table, other.table
+        )
 
     @property
     def n_states(self) -> int:
@@ -216,41 +200,11 @@ class ClassicalAutomaton:
 
     @property
     def symbols(self) -> tuple:
-        """The symbols a transition may read: the alphabet, then both
-        endmarkers in halt-on-enter mode."""
+        """The symbols a transition may read, in the order of the table's
+        columns: the alphabet, then both endmarkers in halt-on-enter mode."""
         if self.halting_mode == HALT_ON_ENTER:
             return tuple(self.alphabet) + (LEFT_END, RIGHT_END)
         return tuple(self.alphabet)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """``transitions`` as an int32 array: ``table[s, k]`` is the target of
-        state s on ``symbols[k]``, -1 where there is none.
-
-        Built on first use and cached, so ``transitions`` must not be mutated
-        after that.  An entry whose source or target is not a state index, or
-        whose symbol is not in ``symbols``, is left out and counted in
-        ``strays``; ``validate_classical`` reports it.
-        """
-        n, symbols = self.n_states, self.symbols
-        transitions = self.__dict__.get("_transitions", {})
-        column = {a: k for k, a in enumerate(symbols)}
-        count = len(transitions)
-        rows = np.fromiter(map(itemgetter(0), transitions), np.int64, count)
-        columns = map(column.get, map(itemgetter(1), transitions), itertools.repeat(-1))
-        cols = np.fromiter(columns, np.int64, count)
-        targets = np.fromiter(transitions.values(), np.int64, count)
-        kept = (rows >= 0) & (rows < n) & (cols >= 0) & (targets >= 0) & (targets < n)
-        table = np.full((n, len(symbols)), -1, dtype=np.int32)
-        table[rows[kept], cols[kept]] = targets[kept]
-        self.__dict__["strays"] = count - int(np.count_nonzero(kept))
-        return table
-
-    @cached_property
-    def strays(self) -> int:
-        """How many entries of ``transitions`` the table leaves out."""
-        self.table  # building the table counts them
-        return self.__dict__["strays"]
 
 
 @dataclass(frozen=True)
@@ -332,12 +286,12 @@ def make_qfa(
     if len(index) != n:
         raise ValueError("duplicate state names")
 
-    def resolve(spec):
+    def resolve(sym, spec):
         if isinstance(spec, dict):
             partial = np.zeros((n, n), dtype=complex)
             rows = set()
             for name, row in spec.items():
-                i = index[name]
+                i = _index_of(name, index, f"a partial row of {sym!r}")
                 partial[i] = linalg.as_state_vector(row)
                 rows.add(i)
             return linalg.complete_unitary(partial, rows)
@@ -348,7 +302,7 @@ def make_qfa(
     unitaries = {}
     for sym in tuple(alphabet) + (LEFT_END, RIGHT_END):
         if sym in partial_unitaries:
-            unitaries[sym] = resolve(partial_unitaries[sym])
+            unitaries[sym] = resolve(sym, partial_unitaries[sym])
         else:
             unitaries[sym] = np.eye(n, dtype=complex)
     extra = set(partial_unitaries) - set(unitaries)
@@ -361,18 +315,21 @@ def make_qfa(
     return QuantumAutomaton(
         states=states,
         alphabet=alphabet,
-        accepting=frozenset(_to_indices(accepting, index)),
-        rejecting=frozenset(_to_indices(rejecting, index)),
+        accepting=frozenset(_to_indices(accepting, index, "accepting")),
+        rejecting=frozenset(_to_indices(rejecting, index, "rejecting")),
         initial=init,
         unitaries=unitaries,
     )
 
 
-def _to_indices(items, index):
-    out = []
-    for item in items:
-        out.append(index[item] if isinstance(item, str) else int(item))
-    return out
+def _index_of(name, index, what: str) -> int:
+    if name not in index:
+        raise ValueError(f"{what} names undeclared state {name!r}")
+    return index[name]
+
+
+def _to_indices(items, index, what: str):
+    return [_index_of(item, index, what) if isinstance(item, str) else int(item) for item in items]
 
 
 def validate(q: QuantumAutomaton, tol: float = linalg.DEFAULT_TOL) -> list:
@@ -416,9 +373,10 @@ def validate(q: QuantumAutomaton, tol: float = linalg.DEFAULT_TOL) -> list:
 def validate_classical(c: ClassicalAutomaton) -> list:
     """Invariant report for deterministic automata.
 
-    Missing transitions and transitions out of halting states come in (state,
-    symbol) order; transitions that name no state or no symbol of the
-    automaton come last, in the order of ``transitions``.
+    After the state checks, a table whose shape is not ``(n_states,
+    len(symbols))`` is reported on its own.  Otherwise missing transitions
+    and transitions out of halting states come in (state, symbol) order, and
+    then, in the same order, the entries that are neither -1 nor a state.
     """
     problems = []
     n = c.n_states
@@ -429,21 +387,10 @@ def validate_classical(c: ClassicalAutomaton) -> list:
         problems.append(f"accepting/rejecting overlap: {sorted(overlap)}")
     for what, group in (("accepting", c.accepting), ("rejecting", c.rejecting)):
         problems += [f"{what} state index {s} out of range" for s in sorted(group) if not 0 <= s < n]
-    symbols = c.symbols
-    has = c.table >= 0
-    strays = []
-    if c.strays:
-        column = {a: k for k, a in enumerate(symbols)}
-        for (s, a), t in c.transitions.items():
-            if not 0 <= s < n:
-                strays.append(f"transition source index {s} out of range")
-                continue
-            if a not in column:
-                strays.append(f"transition from {c.states[s]} on {a!r}: not a symbol of the automaton")
-            if not 0 <= t < n:
-                strays.append(f"transition from {c.states[s]} on {a!r} targets invalid state {t}")
-                if a in column:  # the transition is there; its target is what is wrong
-                    has[s, column[a]] = True
+    symbols, table = c.symbols, c.table
+    if table.shape != (n, len(symbols)):
+        return problems + [f"transition table has shape {table.shape}, expected {(n, len(symbols))}"]
+    has = table != -1  # an entry out of range is a transition with a wrong target
     halting = np.zeros(n, dtype=bool)
     halting[[s for s in c.halting if 0 <= s < n]] = True
     # a halting state must have no transition, any other state every one
@@ -452,7 +399,12 @@ def validate_classical(c: ClassicalAutomaton) -> list:
             problems.append(f"halting state {c.states[s]} has outgoing transition on {symbols[k]!r}")
         else:
             problems.append(f"missing transition from {c.states[s]} on {symbols[k]!r}")
-    return problems + strays
+    if table.min(initial=-1) < -1 or table.max(initial=-1) >= n:
+        problems += [
+            f"transition from {c.states[s]} on {symbols[k]!r} targets invalid state {table[s, k]}"
+            for s, k in zip(*np.nonzero((table < -1) | (table >= n)))
+        ]
+    return problems
 
 
 def validate_prfa(p: ProbabilisticAutomaton) -> list:
@@ -521,7 +473,6 @@ def is_reversible(c: ClassicalAutomaton):
     Returns (flag, tuples); each tuple is (q1, q2, q, a) naming two distinct
     states that both move to q on a.  The tuples come in (q, a) order, by
     state index and then symbol; within one (q, a), q1 and q2 go by index.
-    Only ``table`` is read: entries it leaves out are not counted.
     """
     symbols = c.symbols
     rank = np.argsort(sorted(range(len(symbols)), key=symbols.__getitem__))  # of each symbol, sorted
@@ -543,7 +494,10 @@ def rfa_to_prfa(c: ClassicalAutomaton) -> ProbabilisticAutomaton:
     flag, tuples = is_reversible(c)
     if not flag:
         raise ValueError(f"automaton is not reversible, e.g. {tuples[0]}")
-    transitions = {key: [(t, 1.0)] for key, t in c.transitions.items()}
+    sources, columns = np.nonzero(c.table >= 0)
+    targets = c.table[sources, columns].tolist()
+    keys = zip(sources.tolist(), map(c.symbols.__getitem__, columns.tolist()))
+    transitions = {key: [(t, 1.0)] for key, t in zip(keys, targets)}
     return ProbabilisticAutomaton(
         states=c.states,
         alphabet=c.alphabet,

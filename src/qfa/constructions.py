@@ -24,6 +24,7 @@ from .automata import (
     ProbabilisticAutomaton,
     QuantumAutomaton,
     make_qfa,
+    rfa_to_prfa,
 )
 from .linalg import (
     MAX_TENSOR_COPIES,
@@ -470,35 +471,17 @@ def block_dfa(m: int) -> ClassicalAutomaton:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    names = []
-    for i in range(m):
-        names += [f"A{i}", f"B{i}", f"C{i}"]
-    names += ["F", "D"]
-    idx = {name: i for i, name in enumerate(names)}
-    final = idx["F"]
-    dead = idx["D"]
-    t = {}
-    for i in range(m):
-        a, b, c = idx[f"A{i}"], idx[f"B{i}"], idx[f"C{i}"]
-        nxt = idx[f"A{i + 1}"] if i < m - 1 else final
-        t[(a, "x")] = b
-        t[(a, "z")] = c
-        t[(a, "y")] = dead
-        t[(b, "y")] = nxt
-        t[(b, "x")] = final
-        t[(b, "z")] = dead
-        t[(c, "y")] = nxt
-        t[(c, "x")] = dead
-        t[(c, "z")] = dead
-    for sym in ("x", "y", "z"):
-        t[(final, sym)] = dead
-        t[(dead, sym)] = dead
+    block, final, dead = 3 * np.arange(m), 3 * m, 3 * m + 1  # A_i, B_i, C_i are 3i, 3i+1, 3i+2
+    table = np.full((3 * m + 2, 3), dead, dtype=np.int32)  # columns x, y, z
+    table[block, 0], table[block, 2] = block + 1, block + 2
+    table[block + 1, 0] = final
+    table[block + 1, 1] = table[block + 2, 1] = block + 3  # the next A, or F after the last block
     return ClassicalAutomaton(
-        states=tuple(names),
+        states=tuple(f"{h}{i}" for i in range(m) for h in "ABC") + ("F", "D"),
         alphabet=("x", "y", "z"),
-        start=idx["A0"],
+        start=0,
         accepting=frozenset({final}),
-        transitions=t,
+        table=table,
         halting_mode=END_OF_WORD,
     )
 
@@ -512,16 +495,15 @@ def _unary_rfa(states, a_targets, end_targets, accepting) -> ClassicalAutomaton:
     """Halt-on-enter RFA over {a} whose live states 0 and 1 keep their place on
     ^ and move to ``a_targets[s]`` on a and ``end_targets[s]`` on $; every
     other state halts, accepting if it is in ``accepting``."""
-    transitions = {(s, LEFT_END): s for s in (0, 1)}
-    transitions.update({(s, "a"): t for s, t in enumerate(a_targets)})
-    transitions.update({(s, RIGHT_END): t for s, t in enumerate(end_targets)})
+    table = np.full((len(states), 3), -1, dtype=np.int32)  # columns a, ^, $
+    table[:2] = np.column_stack([a_targets, (0, 1), end_targets])
     return ClassicalAutomaton(
         states=states,
         alphabet=("a",),
         start=0,
         accepting=frozenset(accepting),
         rejecting=frozenset(range(2, len(states))) - frozenset(accepting),
-        transitions=transitions,
+        table=table,
         halting_mode=HALT_ON_ENTER,
     )
 
@@ -553,8 +535,8 @@ def parity_prfa_trio():
                 accepting.append(offset + i)
             if i in rfa.rejecting:
                 rejecting.append(offset + i)
-        for (s, sym), t in rfa.transitions.items():
-            transitions[(offset + s, sym)] = [(offset + t, 1.0)]
+        for (s, sym), edges in rfa_to_prfa(rfa).transitions.items():
+            transitions[(offset + s, sym)] = [(offset + t, prob) for t, prob in edges]
         initial.append((offset + rfa.start, 1.0 / 3.0))
         offset += rfa.n_states
     prfa = ProbabilisticAutomaton(
@@ -580,14 +562,7 @@ def astar_bstar_dfa() -> ClassicalAutomaton:
         alphabet=("a", "b"),
         start=0,
         accepting=frozenset({0, 1}),
-        transitions={
-            (0, "a"): 0,
-            (0, "b"): 1,
-            (1, "a"): 2,
-            (1, "b"): 1,
-            (2, "a"): 2,
-            (2, "b"): 2,
-        },
+        table=np.array([[0, 1], [2, 1], [2, 2]], dtype=np.int32),
         halting_mode=END_OF_WORD,
     )
 

@@ -168,15 +168,20 @@ def run_dfa(c: ClassicalAutomaton, word) -> bool:
     One loop serves both: a plain DFA reads the word and has no halting
     states, while an RFA reads ^ word $ and stops on entering a halting
     state.  An RFA run that never halts ends on a live state, which is not
-    accepting, so it counts as not accepted.
+    accepting, so it counts as not accepted.  The walk reads ``c.table``;
+    a missing transition on the way raises ValueError.
     """
     stream = _working_stream(c, word)
     if c.halting_mode != HALT_ON_ENTER:
         stream = stream[1:-1]
-    halting = c.halting
+    halting, table = c.halting, c.table
+    column = {a: k for k, a in enumerate(c.symbols)}
     state = c.start
     for sym in stream:
         if state in halting:
             break
-        state = c.transitions[(state, sym)]
+        target = int(table[state, column[sym]])
+        if target < 0:
+            raise ValueError(f"no transition from {c.states[state]} on {sym!r}")
+        state = target
     return state in c.accepting

@@ -25,6 +25,7 @@ from .automata import (
     ClassicalAutomaton,
     ProbabilisticAutomaton,
     QuantumAutomaton,
+    _check_alphabet,
     make_qfa,
 )
 
@@ -254,15 +255,17 @@ def _classical_text(c: ClassicalAutomaton):
     Each name is encoded once.  Rows hold their symbols in sorted order, and
     a state without transitions has no row.  Refuses, before any text is
     made, what a file cannot hold or the reader would refuse: names or
-    symbols that are not strings, repeated state names, and transitions that
-    name no state or symbol of the automaton.
+    symbols that are not strings, repeated state names, and a table that is
+    not of shape ``(n_states, len(symbols))`` or holds an entry that is
+    neither -1 nor a state.
     """
-    symbols = c.symbols
+    symbols, table = c.symbols, c.table
     if not all(isinstance(x, str) for x in chain(c.states, symbols)):
         raise FileFormatError("cannot save: state names and symbols must be strings")
     if len(set(c.states)) != c.n_states:
         raise FileFormatError("cannot save: duplicate state names")
-    if c.strays:
+    fits = table.shape == (c.n_states, len(symbols))
+    if not (fits and -1 <= table.min(initial=-1) and table.max(initial=-1) < c.n_states):
         raise FileFormatError("cannot save: a transition names no state or symbol of the automaton")
     names = list(map(encode_basestring_ascii, c.states))
     order = sorted(range(len(symbols)), key=symbols.__getitem__)
@@ -282,7 +285,7 @@ def _classical_text(c: ClassicalAutomaton):
         yield ',\n "rejecting": '
         yield from _json_array(sorted_names(c.rejecting))
         yield f',\n "halting_mode": {encode_basestring_ascii(c.halting_mode)},\n "transitions": '
-        yield from _json_rows(c.table[:, order], np.array(names, dtype=object), keys)
+        yield from _json_rows(table[:, order], np.array(names, dtype=object), keys)
         yield "\n}"
 
     return pieces()
@@ -291,7 +294,7 @@ def _classical_text(c: ClassicalAutomaton):
 def _transition_table(doc: dict, index: dict, rows: dict, mode):
     """``rows`` as the table of a dfa or rfa file, or None when a row, name,
     symbol, the alphabet or the mode is not one it can hold; the per-entry
-    reader then words the error, or keeps stray entries for validation."""
+    reader then words the error."""
     alphabet = doc["alphabet"]
     if mode not in (END_OF_WORD, HALT_ON_ENTER) or not isinstance(alphabet, list):
         return None
@@ -318,20 +321,22 @@ def _transition_table(doc: dict, index: dict, rows: dict, mode):
 
 def classical_from_dict(doc: dict) -> ClassicalAutomaton:
     """Read a dfa or rfa file.  The table is filled from the rows in one
-    pass; only a file that the fill refuses is read entry by entry."""
+    pass.  Only a file that the fill refuses is read entry by entry, to word
+    the error; a transition on a symbol the automaton does not have is
+    refused after every other check."""
     kind = doc.get("kind", "dfa")
     _require(doc, f"{kind} file", ("states", "alphabet", "start", "accepting", "transitions"))
     index = _state_index(doc)
     rows = _mapping(doc["transitions"], "transitions")
     mode = doc.get("halting_mode", END_OF_WORD)
     table = _transition_table(doc, index, rows, mode)
-    transitions = None
     if table is None:
-        transitions = {}
+        entries = []
         for src, row in rows.items():
-            s = _lookup(index, src, "a transition")
+            _lookup(index, src, "a transition")
             for sym, dst in _mapping(row, f"transitions of {src!r}").items():
-                transitions[(s, sym)] = _lookup(index, dst, "a transition")
+                _lookup(index, dst, "a transition")
+                entries.append((src, sym))
     if mode not in (END_OF_WORD, HALT_ON_ENTER):
         raise FileFormatError(f"unknown halting mode {mode!r}")
     fields = dict(
@@ -342,9 +347,12 @@ def classical_from_dict(doc: dict) -> ClassicalAutomaton:
         rejecting=_lookups(index, _list(doc, "rejecting"), "rejecting"),
         halting_mode=mode,
     )
-    if table is None:
-        return ClassicalAutomaton(transitions=transitions, **fields)
-    return ClassicalAutomaton.from_table(table, **fields)
+    if table is None:  # the names and the mode passed, so the fill refused a symbol
+        _check_alphabet(fields["alphabet"])  # the constructor's check comes first
+        symbols = fields["alphabet"] + ((LEFT_END, RIGHT_END) if mode == HALT_ON_ENTER else ())
+        src, sym = next(entry for entry in entries if entry[1] not in symbols)
+        raise FileFormatError(f"transition from {src} on {sym!r}: not a symbol of the automaton")
+    return ClassicalAutomaton(table=table, **fields)
 
 
 def prfa_to_dict(p: ProbabilisticAutomaton) -> dict:

@@ -11,7 +11,15 @@ import time
 
 import numpy as np
 
-from tests_support import astar_dfa, is_good_coefficient, random_qfa, sigma_star_dfa, witness_holds
+from tests_support import (
+    astar_dfa,
+    classical,
+    is_good_coefficient,
+    random_qfa,
+    sigma_star_dfa,
+    transitions_of,
+    witness_holds,
+)
 
 from qfa import linalg
 from qfa.analysis import (
@@ -22,7 +30,6 @@ from qfa.analysis import (
     reversibilize,
 )
 from qfa.automata import (
-    ClassicalAutomaton,
     RunOutcome,
     is_reversible,
     prfa_to_qfa,
@@ -141,7 +148,7 @@ def test_criterion_6_modp_amplified():
 
 
 def _parity_ab_dfa():
-    return ClassicalAutomaton(
+    return classical(
         states=("even", "odd"),
         alphabet=("a", "b"),
         start=0,
@@ -151,9 +158,11 @@ def _parity_ab_dfa():
 
 
 def _brute_force_forbidden(c, max_len):
+    delta = transitions_of(c)
+
     def step(state, word):
         for sym in word:
-            state = c.transitions[(state, sym)]
+            state = delta[(state, sym)]
         return state
 
     def reach(state):
@@ -162,7 +171,7 @@ def _brute_force_forbidden(c, max_len):
         while todo:
             s = todo.pop()
             for a in c.alphabet:
-                t = c.transitions[(s, a)]
+                t = delta[(s, a)]
                 if t not in seen:
                     seen.add(t)
                     todo.append(t)
@@ -193,7 +202,7 @@ def _random_minimal_dfa(seed):
     transitions = {
         (s, a): rng.randrange(n) for s in range(n) for a in ("a", "b")
     }
-    dfa = ClassicalAutomaton(
+    dfa = classical(
         states=tuple(f"s{i}" for i in range(n)),
         alphabet=("a", "b"),
         start=0,

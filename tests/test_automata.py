@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -30,16 +31,17 @@ from qfa.constructions import (
     parity_prfa_trio,
     random_prfa,
 )
-from tests_support import partial_row_prfa
+from tests_support import classical, partial_row_prfa, table_of, transitions_of
 
 
 def brute_force_reversibility(c):
     """Independent predecessor count per (target, symbol)."""
     bad = []
-    symbols = set(a for (_, a) in c.transitions)
+    delta = transitions_of(c)
+    symbols = set(a for (_, a) in delta)
     for a in sorted(symbols):
         for t in range(c.n_states):
-            sources = [s for s in range(c.n_states) if c.transitions.get((s, a)) == t]
+            sources = [s for s in range(c.n_states) if delta.get((s, a)) == t]
             if len(sources) > 1:
                 bad.append((t, a, sources))
     return bad
@@ -113,10 +115,27 @@ class TestMakeQfa:
                 partial_unitaries={"z": {"q0": (1.0,)}},
             )
 
+    @pytest.mark.parametrize("place, fields, message", [
+        ("accepting", {"accepting": ("q1", "nope")}, "accepting names undeclared state 'nope'"),
+        ("rejecting", {"rejecting": ("nope",)}, "rejecting names undeclared state 'nope'"),
+        (
+            "partial row",
+            {"partial_unitaries": {"a": {"q0": (0.0, 1.0), "nope": (1.0, 0.0)}}},
+            "a partial row of 'a' names undeclared state 'nope'",
+        ),
+    ])
+    def test_undeclared_state_names_refused(self, place, fields, message):
+        spec = dict(
+            states=("q0", "q1"), alphabet=("a",), accepting=("q1",), rejecting=(), initial=(1.0, 0.0),
+            partial_unitaries={},
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_qfa(**{**spec, **fields})
+
 
 class TestIsReversible:
     def test_self_loop_single_state(self):
-        c = ClassicalAutomaton(
+        c = classical(
             states=("s",),
             alphabet=("a",),
             start=0,
@@ -167,7 +186,7 @@ class TestRfaToPrfa:
                 assert out.p_acc == pytest.approx(1.0 if expected else 0.0, abs=1e-12)
 
     def test_non_reversible_rejected(self):
-        c = ClassicalAutomaton(
+        c = classical(
             states=("u", "v", "acc"),
             alphabet=("a",),
             start=0,
@@ -469,7 +488,7 @@ class TestRepeatedEntries:
 
 class TestClassicalValidation:
     def test_halting_state_with_outgoing_flagged(self):
-        c = ClassicalAutomaton(
+        c = classical(
             states=("s", "acc"),
             alphabet=("a",),
             start=0,
@@ -486,7 +505,7 @@ class TestClassicalValidation:
         assert any("outgoing" in p for p in validate_classical(c))
 
     def test_missing_transition_flagged(self):
-        c = ClassicalAutomaton(
+        c = classical(
             states=("s",),
             alphabet=("a", "b"),
             start=0,
@@ -495,25 +514,42 @@ class TestClassicalValidation:
         )
         assert any("missing" in p for p in validate_classical(c))
 
-    def test_transitions_outside_the_automaton_flagged(self):
+    def test_targets_outside_the_automaton_flagged(self):
         c = ClassicalAutomaton(
             states=("p", "q"),
-            alphabet=("a",),
+            alphabet=("a", "b"),
             start=0,
             accepting=frozenset({1, 5}),
             rejecting=frozenset({-1}),
-            transitions={(0, "a"): 1, (0, "c"): 0, (1, "a"): 1, (1, RIGHT_END): 0, (2, "a"): 0},
+            table=np.array([[1, -2], [2, -1]], dtype=np.int32),
         )
         assert validate_classical(c) == [
             "accepting state index 5 out of range",
             "rejecting state index -1 out of range",
-            "transition from p on 'c': not a symbol of the automaton",
-            "transition from q on '$': not a symbol of the automaton",
-            "transition source index 2 out of range",
+            "missing transition from q on 'b'",
+            "transition from p on 'b' targets invalid state -2",
+            "transition from q on 'a' targets invalid state 2",
+        ]
+
+    @pytest.mark.parametrize("mode, shape", [
+        (END_OF_WORD, (2, 1)), (END_OF_WORD, (3, 2)), (END_OF_WORD, (2,)), (HALT_ON_ENTER, (2, 2)),
+    ])
+    def test_wrongly_shaped_table_flagged(self, mode, shape):
+        c = ClassicalAutomaton(
+            states=("p", "q"),
+            alphabet=("a", "b"),
+            start=2,
+            accepting=frozenset({0}),
+            table=np.zeros(shape, dtype=np.int32),
+            halting_mode=mode,
+        )
+        assert validate_classical(c) == [
+            "start state out of range",
+            f"transition table has shape {shape}, expected {(2, len(c.symbols))}",
         ]
 
     def test_halting_index_out_of_range_is_reported(self):
-        c = ClassicalAutomaton(
+        c = classical(
             states=("s",),
             alphabet=("a",),
             start=0,
@@ -532,16 +568,13 @@ class TestClassicalValidation:
             n = rng.randint(1, 5)
             alphabet = tuple(rng.sample("abc", rng.randint(0, 3)))
             mode = rng.choice((END_OF_WORD, HALT_ON_ENTER))
-            keys = [(s, a) for s in range(-1, n + 1) for a in alphabet + ("d", LEFT_END, RIGHT_END)]
+            symbols = alphabet + ((LEFT_END, RIGHT_END) if mode == HALT_ON_ENTER else ())
             weight = rng.random()
             transitions = {}
-            for key in rng.sample(keys, len(keys)):  # shuffled, so dict order matters
-                in_range = 0 <= key[0] < n
-                if rng.random() < (weight if in_range else weight / 8):
-                    transitions[key] = rng.choice(
-                        [rng.randrange(n)] * 12 + [-2, -1, n, n + 3]
-                    )
-            out.append(ClassicalAutomaton(
+            for key in itertools.product(range(n), symbols):
+                if rng.random() < weight:  # a target of -1 is no transition
+                    transitions[key] = rng.choice([rng.randrange(n)] * 12 + [-2, -1, n, n + 3])
+            out.append(classical(
                 states=tuple(f"s{i}" for i in range(n)),
                 alphabet=alphabet,
                 start=rng.choice([0, 0, 0, n - 1, -1, n]),
@@ -555,7 +588,7 @@ class TestClassicalValidation:
     def test_problems_match_the_dict_loop(self, malformed):
         kinds = {
             "start state out of range", "overlap", "index", "halting state", "missing",
-            "invalid state", "not a symbol",
+            "invalid state",
         }
         seen = set()
         for c in malformed:
@@ -573,8 +606,7 @@ class TestClassicalValidation:
 def reference_validate_classical(c: ClassicalAutomaton) -> list:
     """Oracle: ``validate_classical`` as a loop over (state, symbol) keys, as it
     was before it read the table, with the checks added since appended in the
-    same places: state indices out of range, and transitions that name no
-    state or no symbol of the automaton."""
+    same places: state indices out of range, and targets that are no state."""
     problems = []
     n = c.n_states
     if not 0 <= c.start < n:
@@ -590,20 +622,16 @@ def reference_validate_classical(c: ClassicalAutomaton) -> list:
     symbols = tuple(c.alphabet)
     if c.halting_mode == HALT_ON_ENTER:
         symbols = symbols + (LEFT_END, RIGHT_END)
+    transitions = transitions_of(c)
     for s in range(n):
         for a in symbols:
-            has = (s, a) in c.transitions
+            has = (s, a) in transitions
             if s in halting:
                 if has:
                     problems.append(f"halting state {c.states[s]} has outgoing transition on {a!r}")
             elif not has:
                 problems.append(f"missing transition from {c.states[s]} on {a!r}")
-    for (s, a), t in c.transitions.items():
-        if not 0 <= s < n:
-            problems.append(f"transition source index {s} out of range")
-            continue
-        if a not in symbols:
-            problems.append(f"transition from {c.states[s]} on {a!r}: not a symbol of the automaton")
+    for (s, a), t in transitions.items():
         if not 0 <= t < n:
             problems.append(f"transition from {c.states[s]} on {a!r} targets invalid state {t}")
     return problems
@@ -615,7 +643,7 @@ def reference_validate_classical(c: ClassicalAutomaton) -> list:
 def test_repeated_letters_refused_in_every_alphabet(alphabet, repeated):
     message = re.escape(f"alphabet repeats the letters {repeated}")
     with pytest.raises(ValueError, match=message):
-        ClassicalAutomaton(
+        classical(
             states=("s",), alphabet=alphabet, start=0, accepting=frozenset(),
             transitions={(0, "a"): 0},
         )
@@ -635,10 +663,41 @@ def test_table_holds_the_transitions():
     rfa = reversibilize(block_dfa(2))
     assert rfa.symbols == tuple(rfa.alphabet) + (LEFT_END, RIGHT_END)
     assert rfa.table.dtype == np.int32 and rfa.table.shape == (rfa.n_states, len(rfa.symbols))
-    want = np.full(rfa.table.shape, -1)
-    for (s, a), t in rfa.transitions.items():
-        want[s, rfa.symbols.index(a)] = t
-    assert np.array_equal(rfa.table, want)
+    assert np.array_equal(table_of(rfa, transitions_of(rfa)), rfa.table)
+
+
+class TestClassicalEquality:
+    def test_one_table_entry_tells_automata_apart(self):
+        c = astar_bstar_dfa()
+        assert c == astar_bstar_dfa() and not c != astar_bstar_dfa()
+        for s, k in itertools.product(range(c.n_states), range(len(c.symbols))):
+            table = c.table.copy()
+            table[s, k] = (table[s, k] + 1) % c.n_states
+            other = dataclasses.replace(c, table=table)
+            assert other != c and c != other and not other == c
+
+    def test_fields_tell_automata_apart(self):
+        c = astar_bstar_dfa()
+        changes = dict(
+            states=("x", "qb", "dead"), alphabet=("a", "c"), start=1, accepting=frozenset({0}),
+            rejecting=frozenset({2}), halting_mode=HALT_ON_ENTER,
+        )
+        for name, value in changes.items():
+            assert dataclasses.replace(c, **{name: value}) != c, name
+        assert c != transitions_of(c) and c != c.states
+
+    def test_replace_takes_a_new_table(self):
+        c = block_dfa(2)
+        table = c.table.copy()
+        table[0, 0] = c.n_states - 1
+        d = dataclasses.replace(c, table=table)
+        assert d.table is table and (d.states, d.start, d.accepting) == (c.states, c.start, c.accepting)
+        assert c.table[0, 0] == 1  # the original keeps its own table
+        assert semantics.run_dfa(c, "xy" * 2) and not semantics.run_dfa(d, "xy" * 2)
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(astar_bstar_dfa())
 
 
 @pytest.mark.parametrize("end", [LEFT_END, RIGHT_END])
@@ -646,7 +705,7 @@ def test_endmarkers_refused_in_every_alphabet(end):
     alphabet = ("a", end)
     message = re.escape(f"alphabet must not contain the endmarker {end!r}")
     with pytest.raises(ValueError, match=message):
-        ClassicalAutomaton(
+        classical(
             states=("s",), alphabet=alphabet, start=0, accepting=frozenset(),
             transitions={(0, "a"): 0, (0, end): 0},
         )

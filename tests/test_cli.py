@@ -8,11 +8,10 @@ import pytest
 
 import qfa
 from qfa import cli, linalg, serialize
-from qfa.automata import ClassicalAutomaton
 from qfa.cli import main
 from qfa.constructions import astar_bstar_dfa, example_qfa, modp_qfa
 from qfa.semantics import run_measure_many
-from tests_support import assert_readers_agree, astar_dfa, sigma_star_dfa
+from tests_support import assert_readers_agree, astar_dfa, classical, sigma_star_dfa
 
 
 @pytest.fixture()
@@ -95,7 +94,7 @@ class TestAnalyze:
         n = 6
         swap = (1, 0) + tuple(range(2, n))
         cycle = tuple((s + 1) % n for s in range(n))
-        s6 = ClassicalAutomaton(
+        s6 = classical(
             states=tuple(f"s{i}" for i in range(n)),
             alphabet=("a", "b"),
             start=0,
@@ -513,9 +512,38 @@ class TestMalformedFiles:
         }[command]
         assert self.run_on(tmp_path, doc, argv) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert f"transition from x on {symbol!r}: not a symbol of the automaton" in err
+        path = tmp_path / "bad.json"
+        assert err == f"error: {path}: transition from x on {symbol!r}: not a symbol of the automaton\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({}, "transition from x on 'c': not a symbol of the automaton"),
+            ({"transitions": {"x": {"c": "x"}, "acc": {"a": "nope"}}}, "a transition names undeclared state 'nope'"),
+            ({"transitions": {"x": {"c": "x"}, "y": {"a": "x"}}}, "a transition names undeclared state 'y'"),
+            ({"transitions": {"x": {"c": "x"}, "acc": []}}, "transitions of 'acc' must be an object, got []"),
+            ({"halting_mode": "sometimes"}, "unknown halting mode 'sometimes'"),
+            ({"alphabet": ["a", 1]}, "alphabet must hold strings, got ['a', 1]"),
+            ({"start": "nope"}, "start names undeclared state 'nope'"),
+            ({"accepting": ["acc", "nope"]}, "accepting names undeclared state 'nope'"),
+            ({"alphabet": ["a", "^"]}, "alphabet must not contain the endmarker '^'"),
+            ({"alphabet": ["a", "a"]}, "alphabet repeats the letters ['a']"),
+        ],
+        ids=[
+            "stray", "unknown-target", "unknown-source", "row-not-object", "mode", "alphabet-type",
+            "start", "accepting", "endmarker-letter", "repeated-letter",
+        ],
+    )
+    def test_stray_symbol_is_refused_after_every_other_check(self, change, message):
+        doc = {
+            **self.DFA, "states": ["x", "acc"], "accepting": ["acc"],
+            "transitions": {"x": {"a": "x", "c": "x", "d": "x"}}, **change,
+        }
+        assert_readers_agree(doc)
+        with pytest.raises(ValueError) as exc:
+            serialize.classical_from_dict(doc)
+        assert str(exc.value) == message
 
     def test_validation_failure_is_one_line(self, tmp_path, capsys):
         doc = {

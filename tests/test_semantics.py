@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import re
 import tracemalloc
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfa import automata, linalg, semantics
-from qfa.automata import QuantumAutomaton
+from qfa.analysis import reversibilize
+from qfa.automata import LEFT_END, RIGHT_END, QuantumAutomaton
 from qfa.automata import prfa_to_qfa
 from qfa.constructions import (
     amplified_rotation,
@@ -35,7 +37,18 @@ from qfa.semantics import (
 )
 
 
-from tests_support import partial_row_prfa, random_operator, random_qfa, random_unitary, sample_prfa
+from tests_support import (
+    astar_dfa,
+    partial_row_prfa,
+    random_halt_on_enter,
+    random_operator,
+    random_qfa,
+    random_unitary,
+    reference_run_dfa,
+    sample_prfa,
+    table_of,
+    transitions_of,
+)
 
 
 class TestRunMeasureMany:
@@ -253,6 +266,50 @@ class TestRunDfa:
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
             run_dfa(astar_bstar_dfa(), "abc")
+
+    def test_missing_transition_of_a_partial_dfa(self):
+        partial = dataclasses.replace(astar_dfa(), table=table_of(astar_dfa(), {(0, "a"): 0}))
+        assert run_dfa(partial, "aaa") and run_dfa(partial, "")
+        with pytest.raises(ValueError, match="^no transition from live on 'b'$"):
+            run_dfa(partial, "aab")
+
+    def test_missing_transition_of_a_partial_rfa(self):
+        odd = parity_prfa_trio()[0][0]
+        table = odd.table.copy()
+        table[1, odd.symbols.index(RIGHT_END)] = -1
+        partial = dataclasses.replace(odd, table=table)
+        assert not run_dfa(partial, "") and not run_dfa(partial, "aa")
+        with pytest.raises(ValueError, match=r"^no transition from odd on '\$'$"):
+            run_dfa(partial, "aaa")
+        table = odd.table.copy()
+        table[0, odd.symbols.index(LEFT_END)] = -1
+        with pytest.raises(ValueError, match=r"^no transition from even on '\^'$"):
+            run_dfa(dataclasses.replace(odd, table=table), "")
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_the_dict_walk_on_block_rfas(self, m):
+        dfa = block_dfa(m)
+        rfa = reversibilize(dfa)
+        delta = transitions_of(rfa)
+        rng = random.Random(m)
+        words = ["", "xy" * m, "zy" * (m - 1) + "xx", "xy" * m + "x", "yx"]
+        words += ["".join(rng.choices("xyz", k=rng.randint(1, 3 * m + 2))) for _ in range(60)]
+        for word in words:
+            want = reference_run_dfa(rfa, delta, word) in rfa.accepting
+            assert run_dfa(rfa, word) == want == run_dfa(dfa, word), word
+
+    def test_matches_the_dict_walk_on_random_halt_on_enter(self):
+        seen = set()
+        for seed in range(200):
+            c = random_halt_on_enter(seed)
+            delta = transitions_of(c)
+            for word in itertools.chain.from_iterable(itertools.product("ab", repeat=k) for k in range(5)):
+                end = reference_run_dfa(c, delta, word)
+                assert run_dfa(c, word) == (end in c.accepting), (seed, word)
+                seen.add("halting start" if c.start in c.halting else "live start")
+                seen.add("halts" if end in c.halting else "never halts")
+                seen.add("accepts" if end in c.accepting else "does not accept")
+        assert seen == {"halting start", "live start", "halts", "never halts", "accepts", "does not accept"}
 
 
 def test_prfa_against_qfa_on_all_short_words():

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random automata, small reference DFAs
 and independent oracles that the library itself does not need."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -194,9 +195,41 @@ def min_good_fraction(seq) -> float:
     return worst
 
 
+def table_of(c: ClassicalAutomaton, transitions: dict) -> np.ndarray:
+    """The int32 table of ``c``'s shape that holds ``transitions``, a dict
+    (state index, symbol) -> target; every other entry is -1.  A target is
+    kept as it is, a state or not.  An entry that the table cannot hold is
+    refused as the file reader refuses it."""
+    column = {a: k for k, a in enumerate(c.symbols)}
+    table = np.full((c.n_states, len(column)), -1, dtype=np.int32)
+    for (s, a), t in transitions.items():
+        if not 0 <= s < c.n_states:
+            raise FileFormatError(f"transition source index {s} out of range")
+        if a not in column:
+            raise FileFormatError(f"transition from {c.states[s]} on {a!r}: not a symbol of the automaton")
+        table[s, column[a]] = t
+    return table
+
+
+def classical(transitions: dict, **fields) -> ClassicalAutomaton:
+    """The ``ClassicalAutomaton`` of the other constructor ``fields`` whose
+    table holds ``transitions`` (see ``table_of``).  The constructor's own
+    checks come first."""
+    shell = ClassicalAutomaton(table=np.empty((0, 0), dtype=np.int32), **fields)
+    return dataclasses.replace(shell, table=table_of(shell, transitions))
+
+
+def transitions_of(c: ClassicalAutomaton) -> dict:
+    """Oracle side: ``c.table`` as a dict (state index, symbol) -> target of
+    every entry that is not -1, in (state, symbol) order."""
+    rows, cols = np.nonzero(c.table != -1)
+    keys = zip(rows.tolist(), map(c.symbols.__getitem__, cols.tolist()))
+    return dict(zip(keys, c.table[rows, cols].tolist()))
+
+
 def astar_dfa() -> ClassicalAutomaton:
     """Minimal two-state DFA for a* over {a, b}."""
-    return ClassicalAutomaton(
+    return classical(
         states=("live", "dead"),
         alphabet=("a", "b"),
         start=0,
@@ -213,7 +246,7 @@ def astar_dfa() -> ClassicalAutomaton:
 
 def sigma_star_dfa() -> ClassicalAutomaton:
     """Single accepting state looping on both letters."""
-    return ClassicalAutomaton(
+    return classical(
         states=("all",),
         alphabet=("a", "b"),
         start=0,
@@ -225,7 +258,7 @@ def sigma_star_dfa() -> ClassicalAutomaton:
 
 def parity_dfa() -> ClassicalAutomaton:
     """Two-state DFA accepting words with an odd number of a's."""
-    return ClassicalAutomaton(
+    return classical(
         states=("even", "odd"),
         alphabet=("a",),
         start=0,
@@ -233,6 +266,43 @@ def parity_dfa() -> ClassicalAutomaton:
         transitions={(0, "a"): 1, (1, "a"): 0},
         halting_mode=END_OF_WORD,
     )
+
+
+def random_halt_on_enter(seed):
+    """Seeded halt-on-enter automaton over {a, b}: any state may halt or start."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    role = [rng.choice(("live", "live", "acc", "rej")) for _ in range(n)]
+    return classical(
+        states=tuple(f"s{i}" for i in range(n)),
+        alphabet=("a", "b"),
+        start=rng.randrange(n),
+        accepting=frozenset(s for s in range(n) if role[s] == "acc"),
+        rejecting=frozenset(s for s in range(n) if role[s] == "rej"),
+        transitions={
+            (s, a): rng.randrange(n)
+            for s in range(n)
+            if role[s] == "live"
+            for a in ("a", "b", LEFT_END, RIGHT_END)
+        },
+        halting_mode=HALT_ON_ENTER,
+    )
+
+
+def reference_run_dfa(c: ClassicalAutomaton, delta: dict, word) -> int:
+    """Oracle: the dict walk that ``semantics.run_dfa`` replaced, over
+    ``delta = transitions_of(c)``.  Returns the state the run ends on, so
+    ``run_dfa`` accepts exactly when it is accepting; a missing transition
+    ends in a KeyError."""
+    stream = _working_stream(c, word)
+    if c.halting_mode != HALT_ON_ENTER:
+        stream = stream[1:-1]
+    state = c.start
+    for sym in stream:
+        if state in c.halting:
+            break
+        state = delta[(state, sym)]
+    return state
 
 
 def reference_reachable(transitions: dict, alphabet, origin: int) -> set:
@@ -259,13 +329,14 @@ def reference_minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
     reachable transition ends in a KeyError.
     """
     _require_plain(c, "minimize_dfa")
-    alive = sorted(reference_reachable(c.transitions, c.alphabet, c.start))
+    delta = transitions_of(c)
+    alive = sorted(reference_reachable(delta, c.alphabet, c.start))
 
     # Hopcroft refinement over the reachable part
     inverse = {}
     for s in alive:
         for a in c.alphabet:
-            inverse.setdefault((c.transitions[(s, a)], a), set()).add(s)
+            inverse.setdefault((delta[(s, a)], a), set()).add(s)
     final = frozenset(s for s in alive if s in c.accepting)
     nonfinal = frozenset(alive) - final
     partition = {b for b in (final, nonfinal) if b}
@@ -308,7 +379,7 @@ def reference_minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
         order.append(b)
         rep = min(b)
         for a in c.alphabet:
-            nb = block_of[c.transitions[(rep, a)]]
+            nb = block_of[delta[(rep, a)]]
             if nb not in seen:
                 seen.add(nb)
                 queue.append(nb)
@@ -318,24 +389,24 @@ def reference_minimize_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
     for b, i in number.items():
         rep = min(b)
         for a in c.alphabet:
-            transitions[(i, a)] = number[block_of[c.transitions[(rep, a)]]]
+            transitions[(i, a)] = number[block_of[delta[(rep, a)]]]
     accepting = frozenset(number[b] for b in order if min(b) in c.accepting)
-    return ClassicalAutomaton(
+    return classical(
+        transitions,
         states=states,
         alphabet=tuple(c.alphabet),
         start=number[block_of[c.start]],
         accepting=accepting,
-        transitions=transitions,
         halting_mode=END_OF_WORD,
     )
 
 
 def classical_to_dict(c: ClassicalAutomaton) -> dict:
-    """Oracle: the dict of a dfa or rfa file, built from ``transitions``;
+    """Oracle: the dict of a dfa or rfa file, built from ``transitions_of(c)``;
     ``serialize.save`` writes ``json.dump`` of it at indent 1 from the table."""
     flag = c.halting_mode == HALT_ON_ENTER
     transitions = {}
-    for (s, a), t in sorted(c.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (s, a), t in sorted(transitions_of(c).items(), key=lambda kv: (kv[0][0], kv[0][1])):
         transitions.setdefault(c.states[s], {})[a] = c.states[t]
     return {
         "format_version": FORMAT_VERSION,
@@ -369,7 +440,8 @@ def reference_non_reversibilities(transitions: dict, key=None) -> list:
 
 def reference_classical_from_dict(doc: dict) -> ClassicalAutomaton:
     """Oracle: the reader of dfa and rfa files before it filled the table,
-    one ``_lookup`` per name into a transition dict."""
+    one ``_lookup`` per name into a transition dict, which ``classical``
+    then puts in the table; it refuses a symbol the automaton lacks last."""
     kind = doc.get("kind", "dfa")
     _require(doc, f"{kind} file", ("states", "alphabet", "start", "accepting", "transitions"))
     index = _state_index(doc)
@@ -381,20 +453,20 @@ def reference_classical_from_dict(doc: dict) -> ClassicalAutomaton:
     mode = doc.get("halting_mode", END_OF_WORD)
     if mode not in (END_OF_WORD, HALT_ON_ENTER):
         raise FileFormatError(f"unknown halting mode {mode!r}")
-    return ClassicalAutomaton(
+    return classical(
+        transitions,
         states=tuple(doc["states"]),
         alphabet=tuple(_alphabet(doc)),
         start=_lookup(index, doc["start"], "start"),
         accepting=frozenset(_lookup(index, s, "accepting") for s in _list(doc, "accepting")),
         rejecting=frozenset(_lookup(index, s, "rejecting") for s in _list(doc, "rejecting")),
-        transitions=transitions,
         halting_mode=mode,
     )
 
 
 def assert_readers_agree(doc: dict):
     """``serialize.classical_from_dict`` and its oracle raise the same error
-    on ``doc``, or give automata with the same fields, table and strays."""
+    on ``doc``, or give equal automata whose tables have one dtype."""
 
     def read(reader):
         try:
@@ -407,11 +479,7 @@ def assert_readers_agree(doc: dict):
         assert (type(got), str(got)) == (type(want), str(want)), doc
         return
     assert isinstance(got, ClassicalAutomaton), (got, doc)
-    fields = ("states", "alphabet", "start", "accepting", "rejecting", "halting_mode", "transitions")
-    for name in fields:
-        assert getattr(got, name) == getattr(want, name), (name, doc)
-    assert got.table.dtype == want.table.dtype and np.array_equal(got.table, want.table), doc
-    assert got.strays == want.strays, doc
+    assert got == want and got.table.dtype == want.table.dtype, doc
 
 
 @dataclass(frozen=True)
@@ -438,9 +506,9 @@ def transition_monoid(c: ClassicalAutomaton, cap: int = DEFAULT_MONOID_CAP):
     return [MonoidElement(mapping=tuple(m), word=w) for m, w in zip(elements.tolist(), words)]
 
 
-def _step_word(c: ClassicalAutomaton, state: int, word) -> int:
+def _step_word(delta: dict, state: int, word) -> int:
     for sym in word:
-        state = c.transitions[(state, sym)]
+        state = delta[(state, sym)]
     return state
 
 
@@ -449,19 +517,20 @@ def witness_holds(c: ClassicalAutomaton, w: ConstructionWitness) -> bool:
     q1 = c.states.index(w.q1)
     q2 = c.states.index(w.q2)
     eligible = set(range(c.n_states)).difference(*_fates(c))
+    delta = transitions_of(c)
     if q1 == q2 or q2 not in eligible:
         return False
     if w.y is None:
-        return _step_word(c, q1, w.x) == q2 and _step_word(c, q2, w.x) == q2
+        return _step_word(delta, q1, w.x) == q2 and _step_word(delta, q2, w.x) == q2
     if q1 not in eligible:
         return False
-    if _step_word(c, q1, w.x) != q1:
+    if _step_word(delta, q1, w.x) != q1:
         return False
-    if _step_word(c, q1, w.y) != q2 or _step_word(c, q2, w.y) != q2:
+    if _step_word(delta, q1, w.y) != q2 or _step_word(delta, q2, w.y) != q2:
         return False
     # an independent walk, not the detector's array pass: x^k returns q2 to q2
     # for some k <= n exactly when q2 lies on a cycle of x
-    x = [_step_word(c, s, w.x) for s in range(c.n_states)]
+    x = [_step_word(delta, s, w.x) for s in range(c.n_states)]
     cur = x[q2]
     for _ in range(c.n_states):
         if cur == q2:
@@ -481,11 +550,6 @@ def to_plain_dfa(c: ClassicalAutomaton) -> ClassicalAutomaton:
         alphabet=tuple(c.alphabet),
         start=start,
         accepting=frozenset(np.flatnonzero(accepting).tolist()),
-        transitions={
-            (s, a): t
-            for a, column in zip(c.alphabet, table.T.tolist())
-            for s, t in enumerate(column)
-            if t >= 0
-        },
+        table=table,
         halting_mode=END_OF_WORD,
     )

@@ -26,7 +26,9 @@ grows from round to round; and times:
 - ``serialize.load`` of that file;
 - ``validate_classical``, ``dfa_equivalent(block_dfa(m), rfa)``, and the two
   in a row as ``qfa equiv`` runs them, each call on an RFA freshly loaded
-  from the file (the load is not timed).
+  from the file (the load is not timed);
+- ``run_dfa(rfa, "xy" * m)``, the first run on an RFA freshly loaded from
+  the file (the load is not timed), as ``qfa run`` makes it.
 
 Each timing gets one warm-up call, then 7 timed calls; the median and
 quartiles are reported in milliseconds, with the number of RFA states.
@@ -59,21 +61,22 @@ def generated_dfa(n: int, merge: bool):
 
     The two permutations generate S_n; with a map of rank n - 1 they generate
     all n^n maps.  Accepting {0} separates every pair of states, so the DFA
-    is minimal.
+    is minimal.  Built from its transition table.
     """
+    import numpy as np
     from qfa.automata import ClassicalAutomaton  # from the checkout that --src names
 
     letters = [(1, 0) + tuple(range(2, n)), tuple((s + 1) % n for s in range(n))]
     if merge:
         letters.append((1,) + tuple(range(1, n)))
-    alphabet = "abc"[: len(letters)]
-    return ClassicalAutomaton(
-        states=tuple(f"s{i}" for i in range(n)),
-        alphabet=tuple(alphabet),
-        start=0,
+    table = np.array(letters, dtype=np.int32).T  # column k is letter k's map
+    fields = dict(
+        states=tuple(f"s{i}" for i in range(n)), alphabet=tuple("abc"[: len(letters)]), start=0,
         accepting=frozenset({0}),
-        transitions={(s, a): f[s] for a, f in zip(alphabet, letters) for s in range(n)},
     )
+    if hasattr(ClassicalAutomaton, "from_table"):  # checkouts where the table was not a field
+        return ClassicalAutomaton.from_table(table, **fields)
+    return ClassicalAutomaton(table=table, **fields)
 
 
 def time_call(fn, runs, setup=lambda: None):
@@ -100,7 +103,7 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
-    from qfa import analysis, constructions, serialize
+    from qfa import analysis, constructions, semantics, serialize
     from qfa.automata import validate_classical
 
     def first_phases(dfa, path):
@@ -151,10 +154,12 @@ def main(argv=None) -> int:
             row["validate_and_equivalent"], _ = time_call(
                 lambda r: (validate_classical(r), analysis.dfa_equivalent(dfa, r)), RUNS, fresh
             )
+            row["run_dfa"], accepted = time_call(lambda r: semantics.run_dfa(r, "xy" * m), RUNS, fresh)
+            assert accepted, f"the RFA of block_dfa({m}) rejects (xy)^{m}"
             rows.append(row)
             print(f"m={m}", rfa.n_states, row["peak_live_states"], row.get("rounds"), *(row[k]["median_ms"] for k in (
                 "minimize_dfa", "find_forbidden_construction", "reversibilize", "save", "load",
-                "validate_classical", "dfa_equivalent", "validate_and_equivalent",
+                "validate_classical", "dfa_equivalent", "validate_and_equivalent", "run_dfa",
             )), file=sys.stderr)
 
     store_result(OUT, args.label, {
@@ -176,6 +181,7 @@ def main(argv=None) -> int:
             "dfa_equivalent": "dfa_equivalent(block_dfa(m), rfa) on an rfa freshly loaded per call",
             "validate_and_equivalent": "validate_classical(rfa) then dfa_equivalent(block_dfa(m), rfa), "
                                        "as qfa equiv runs them, on an rfa freshly loaded per call",
+            "run_dfa": "run_dfa(rfa, 'xy' * m), the first run on an rfa freshly loaded per call",
             "warmup_calls": 1,
             "runs": RUNS,
             "statistic": "median and quartiles over runs of one call, milliseconds",
