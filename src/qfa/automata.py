@@ -82,19 +82,17 @@ class QuantumAutomaton:
 class RunPlan:
     """A quantum automaton compiled for the runners.
 
-    Both kinds of plan keep their vectors in one state order: the non-halting
-    states, then the accepting, then the rejecting ones, each in index order.
+    The plan keeps its vectors in one state order: the non-halting states,
+    then the accepting, then the rejecting ones, each in index order.
     ``non``, ``acc`` and ``rej`` are the slices of those parts, ``initial()``
     is a fresh copy of the initial vector in that order, and ``apply[sym]``
-    is the symbol's operator lowered into it once by ``linalg.lower``.
-    ``begin()`` gives the observed initial vector as (p_acc, p_rej, residue),
-    and ``observe(psi, ops[sym])`` one measure-many step as (accept mass,
-    reject mass, new residue); a residue is never written to once returned.
-    Each mass is the ``vdot`` of a contiguous slice.  With every unitary
-    dense, ``ops[sym]`` holds the non-halting rows, so a step is one small
-    product and residues live in the non-halting subspace.  Otherwise
-    ``ops`` is ``apply`` and a residue is a full vector whose halting tail
-    is cleared by one slice assignment.
+    is the symbol's operator lowered into it once by ``linalg.lower``.  A
+    residue is the non-halting part of a vector, of shape ``(k,)`` for the
+    plan's k non-halting states.  ``begin()`` gives the observed initial
+    vector as (p_acc, p_rej, residue), and ``observe(psi, apply[sym])`` one
+    measure-many step on a residue as (accept mass, reject mass, new
+    residue); a residue is never written to once returned.  Each mass is the
+    ``vdot`` of a contiguous slice of the step's full output.
     """
 
     def __init__(self, q: QuantumAutomaton):
@@ -121,34 +119,18 @@ class RunPlan:
             v[at] = amplitudes
             return v
 
-        dot, vdot = np.dot, np.vdot
-        if all(isinstance(m, np.ndarray) for m in q.unitaries.values()):
-            self.ops = {sym: m[np.ix_(order[non], order)] for sym, m in q.unitaries.items()}
+        vdot = np.vdot
 
-            def observe(psi, rows):
-                out = dot(psi, rows)
-                a, r = out[acc], out[rej]
-                return float(vdot(a, a).real), float(vdot(r, r).real), out[non]
+        def observe(psi, op):
+            out = op(psi)
+            a, r = out[acc], out[rej]
+            return float(vdot(a, a).real), float(vdot(r, r).real), out[non]
 
-            v = initial()
-            start = (linalg.norm_squared(v[acc]), linalg.norm_squared(v[rej]), v[non])
+        v = initial()
+        masses = linalg.norm_squared(v[acc]), linalg.norm_squared(v[rej])
 
-            def begin():
-                return start
-        else:
-            self.ops = self.apply
-
-            def observed(out):
-                a, r = out[acc], out[rej]
-                d_acc, d_rej = float(vdot(a, a).real), float(vdot(r, r).real)
-                out[k:] = 0.0
-                return d_acc, d_rej, out
-
-            def observe(psi, op):
-                return observed(op(psi))
-
-            def begin():
-                return observed(initial())
+        def begin():
+            return (*masses, initial()[non])
 
         self.initial = initial
         self.observe = observe
@@ -295,9 +277,7 @@ def make_qfa(
                 partial[i] = linalg.as_state_vector(row)
                 rows.add(i)
             return linalg.complete_unitary(partial, rows)
-        if isinstance(spec, np.ndarray):
-            return linalg.as_matrix(spec)
-        return spec  # structured operator
+        return linalg.as_operator(spec)
 
     unitaries = {}
     for sym in tuple(alphabet) + (LEFT_END, RIGHT_END):

@@ -49,18 +49,26 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
+def as_operator(m):
+    """A dense matrix as a complex square array; a structured operator as it is."""
+    return as_matrix(m) if isinstance(m, np.ndarray) else m
+
+
 def norm_squared(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
 def lower(m, pos):
-    """Return ``m`` as a function that maps a state vector to a new one,
+    """Return ``m`` as a function that maps a state vector to a new full one,
     never writing to its argument.
 
     ``pos`` is the layout of the vectors: state i of ``m`` sits at
-    ``pos[i]``, so the natural order is ``np.arange(dim)``.  Every position is
-    resolved here, once, so the function runs on slices and one composed
-    gather per stage.
+    ``pos[i]``, so the natural order is ``np.arange(dim)``.  The function
+    also takes a residue: a vector shorter than ``dim`` stands for its
+    leading positions, with the rest zero.  Every position is resolved here,
+    once: a dense matrix keeps its rows in that order, so a step is one
+    ``dot`` with its leading rows, and a structured operator runs on slices
+    and one composed scatter per stage.
     """
     pos = np.asarray(pos)
     dim = len(pos)
@@ -68,7 +76,8 @@ def lower(m, pos):
         if m.shape != (dim, dim):
             raise ValueError(f"dimension mismatch: matrix {m.shape} vs vector {(dim,)}")
         m = _in_order(m, pos)[0]
-        return lambda v: v @ m
+        heads = [m[:j] for j in range(dim + 1)]
+        return lambda v: v.dot(heads[len(v)])
     if m.dim != dim:
         raise ValueError(f"dimension mismatch: operator dim {m.dim} vs vector {(dim,)}")
     stages = [_Stage(f, pos) for f in _factors(m)]
@@ -426,11 +435,13 @@ def _span(at):
 
 
 class _Stage:
-    """One lowered factor: called on a state vector, returns its image.
+    """One lowered factor: called on a state vector or a residue (its
+    leading positions, the rest zero), returns the image as a full vector.
 
     The factor's leaves are placed through the position map ``pos`` once.
-    Identity leaves are skipped and permutation leaves merge into one gather
-    composed with the map.  Tensor powers of equal shape run as one batched
+    Identity leaves are skipped and permutation leaves merge into one
+    scatter composed with the map, which also places the residue in a
+    zeroed output.  Tensor powers of equal shape run as one batched
     kernel in fused runs of factors of at most ``_FUSED_ROWS`` rows; when
     their positions form one ascending run, the kernel works in place on that
     slice of the output.  A dense leaf has its states sorted by position and
@@ -442,7 +453,7 @@ class _Stage:
     def __init__(self, op, pos):
         leaves = []
         _leaves(op, 0, leaves)
-        self.gather = None
+        self.dim, self.into = len(pos), None
         groups = {}
         self.dense = []
         self.rotations = []
@@ -451,9 +462,9 @@ class _Stage:
             if isinstance(leaf, IdentityOp):
                 continue
             if isinstance(leaf, PermutationOp):
-                if self.gather is None:
-                    self.gather = np.arange(len(pos))
-                self.gather[at[leaf.dest]] = at
+                if self.into is None:
+                    self.into = np.arange(len(pos))
+                self.into[at] = at[leaf.dest]
             elif isinstance(leaf, TensorPowerOp):
                 groups.setdefault((leaf.base.shape[0], leaf.copies), []).append((at, leaf))
             elif isinstance(leaf, PlaneRotationOp):
@@ -471,16 +482,17 @@ class _Stage:
             self.groups.append(([powers[r] for r in runs], where))
 
     def __call__(self, v):
-        v = np.asarray(v, dtype=complex)
-        out = v.copy() if self.gather is None else v[self.gather]
-        # leaves are disjoint, so each leaf's part of out still equals v's
+        out = np.zeros(self.dim, dtype=complex)
+        out[slice(len(v)) if self.into is None else self.into[: len(v)]] = v
+        # leaves are disjoint and only permutation leaves move, so each
+        # other leaf's part of out still holds its input
         for rounds, where in self.groups:
             if isinstance(where, slice):
                 _tensor_powers(rounds, out[where].reshape(rounds[0].shape[0], -1))
             else:
-                out[where] = _tensor_powers(rounds, v[where])
+                out[where] = _tensor_powers(rounds, out[where])
         for leaf, where in self.dense:
-            out[where] = v[where] @ leaf
+            out[where] = out[where] @ leaf
         for rotation in self.rotations:
             _rotate(out, *rotation)
         return out

@@ -49,7 +49,7 @@ def _measure_many(q: QuantumAutomaton, stream):
     puts on halting states counts at once, as in ``run_prfa``.  Each step
     goes through the automaton's plan (``QuantumAutomaton.plan``).
     """
-    observe, ops = q.plan.observe, q.plan.ops
+    observe, ops = q.plan.observe, q.plan.apply
     p_acc, p_rej, psi = q.plan.begin()
     for sym in stream:
         d_acc, d_rej, psi = observe(psi, ops[sym])
@@ -68,7 +68,7 @@ def run_measure_many(q: QuantumAutomaton, word) -> RunOutcome:
     trace = []
     for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word)):
         trace.append((p_acc, p_rej))
-    return RunOutcome(p_acc=p_acc, p_rej=p_rej, p_non=linalg.norm_squared(psi[q.plan.non]), trace=tuple(trace))
+    return RunOutcome(p_acc=p_acc, p_rej=p_rej, p_non=linalg.norm_squared(psi), trace=tuple(trace))
 
 
 def run_prefixes(q: QuantumAutomaton, word) -> list:
@@ -78,13 +78,13 @@ def run_prefixes(q: QuantumAutomaton, word) -> list:
     residue after ^ word[:j] is shared by all longer prefixes, and the right
     endmarker is applied to it once per prefix.
     """
-    observe, end, non = q.plan.observe, q.plan.ops[RIGHT_END], q.plan.non
+    observe, end = q.plan.observe, q.plan.apply[RIGHT_END]
     trace = []
     outcomes = []
     for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word)[:-1]):
         trace.append((p_acc, p_rej))
         e_acc, e_rej, rest = observe(psi, end)
-        p_non = linalg.norm_squared(rest[non])
+        p_non = linalg.norm_squared(rest)
         del rest  # one state vector fewer alive during the next step
         final = (p_acc + e_acc, p_rej + e_rej)
         outcomes.append(
@@ -116,7 +116,7 @@ def run_multiscan(q: QuantumAutomaton, word, max_scans: int) -> ScanReport:
     scans = itertools.chain.from_iterable(itertools.repeat(stream, max_scans))
     for i, (p_acc, p_rej, psi) in enumerate(_measure_many(q, scans), start=1):
         if i % len(stream) == 0:
-            reports.append(RunOutcome(p_acc, p_rej, linalg.norm_squared(psi[q.plan.non])))
+            reports.append(RunOutcome(p_acc, p_rej, linalg.norm_squared(psi)))
     return ScanReport(per_scan=tuple(reports))
 
 

@@ -255,15 +255,19 @@ def _classical_text(c: ClassicalAutomaton):
     Each name is encoded once.  Rows hold their symbols in sorted order, and
     a state without transitions has no row.  Refuses, before any text is
     made, what a file cannot hold or the reader would refuse: names or
-    symbols that are not strings, repeated state names, and a table that is
-    not of shape ``(n_states, len(symbols))`` or holds an entry that is
-    neither -1 nor a state.
+    symbols that are not strings, repeated state names, a start, accepting
+    or rejecting index that is not a state, and a table that is not of
+    shape ``(n_states, len(symbols))`` or holds an entry that is neither -1
+    nor a state.
     """
     symbols, table = c.symbols, c.table
     if not all(isinstance(x, str) for x in chain(c.states, symbols)):
         raise FileFormatError("cannot save: state names and symbols must be strings")
     if len(set(c.states)) != c.n_states:
         raise FileFormatError("cannot save: duplicate state names")
+    indices = (c.start,), c.accepting, c.rejecting
+    if not (0 <= min(chain(*indices)) and max(chain(*indices)) < c.n_states):
+        raise FileFormatError("cannot save: a start, accepting or rejecting index names no state")
     fits = table.shape == (c.n_states, len(symbols))
     if not (fits and -1 <= table.min(initial=-1) and table.max(initial=-1) < c.n_states):
         raise FileFormatError("cannot save: a transition names no state or symbol of the automaton")
@@ -434,18 +438,17 @@ def save(auto, path: str):
     """Write an automaton file: its JSON object at indent 1, and a newline.
 
     A quantum or probabilistic automaton is written as
-    ``json.dump(automaton_to_dict(auto), fh, indent=1)``.  A classical one is
-    written from its transition table by ``_classical_text``, a bounded
-    number of pieces at a time; one that no file can hold is refused before
-    the file is opened.
+    ``json.dumps(automaton_to_dict(auto), indent=1)``, made in full first.  A
+    classical one is written from its transition table by
+    ``_classical_text``, a bounded number of pieces at a time.  Either way,
+    an automaton that no file can hold is refused before the file is opened.
     """
-    text = _classical_text(auto) if isinstance(auto, ClassicalAutomaton) else None
+    if isinstance(auto, ClassicalAutomaton):
+        pieces = _classical_text(auto)
+    else:
+        pieces = [json.dumps(automaton_to_dict(auto), indent=1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if text is None:
-            json.dump(automaton_to_dict(auto), fh, indent=1)
-        else:
-            for piece in text:
-                fh.write(piece)
+        fh.writelines(pieces)
         fh.write("\n")
 
 

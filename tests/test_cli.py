@@ -9,7 +9,7 @@ import pytest
 import qfa
 from qfa import cli, linalg, serialize
 from qfa.cli import main
-from qfa.constructions import astar_bstar_dfa, example_qfa, modp_qfa
+from qfa.constructions import astar_bstar_dfa, example_qfa, modp_qfa, random_prfa
 from qfa.semantics import run_measure_many
 from tests_support import assert_readers_agree, astar_dfa, classical, sigma_star_dfa
 
@@ -216,6 +216,29 @@ class TestRoundTrip:
         assert (
             open(example_file).read() == open(str(path2)).read()
         )
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            (lambda: dataclasses.replace(astar_dfa(), start=-1), serialize.FileFormatError),
+            (lambda: dataclasses.replace(astar_dfa(), start=2), serialize.FileFormatError),
+            (lambda: dataclasses.replace(astar_dfa(), accepting=frozenset({5})), serialize.FileFormatError),
+            (lambda: dataclasses.replace(astar_dfa(), rejecting=frozenset({-1})), serialize.FileFormatError),
+            (lambda: dataclasses.replace(example_qfa(), rejecting=frozenset({7})), IndexError),
+            (lambda: dataclasses.replace(random_prfa(0), accepting=frozenset({99})), IndexError),
+            (lambda: dataclasses.replace(example_qfa(), unitaries={**example_qfa().unitaries, "a": object()}),
+             serialize.FileFormatError),
+        ],
+        ids=["dfa-start-negative", "dfa-start-past-end", "dfa-accepting", "dfa-rejecting",
+             "qfa-halting", "prfa-halting", "qfa-unknown-operator"],
+    )
+    def test_save_refuses_before_opening_the_file(self, tmp_path, change, error):
+        path = tmp_path / "kept.json"
+        serialize.save(example_qfa(), str(path))
+        before = path.read_bytes()
+        with pytest.raises(error):
+            serialize.save(change(), str(path))
+        assert path.read_bytes() == before
 
     def test_partial_rows_completed_at_load(self, tmp_path):
         doc = {

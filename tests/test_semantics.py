@@ -455,6 +455,45 @@ def random_tree_qfa(seed):
     )
 
 
+def residue_entry_qfa(roles, first, tail):
+    """Operator-tree QFA over {a, b} on the state classes ``roles`` (n, a or
+    r each), for the edge cases of a stage's residue entry.
+
+    Every symbol is a ``first`` leaf over all states, a permutation or a
+    plane rotation, then a direct sum of a tensor power and a ``tail`` block
+    of 4 states, a permutation ("structured") or a dense unitary ("mixed").
+    The initial vector puts mass on every state.
+    """
+    rng = np.random.default_rng(sum(map(ord, roles + first + tail)))
+    n = len(roles)
+    initial = rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    def entry():
+        if first == "permutation":
+            return linalg.PermutationOp(rng.permutation(n))
+        target = rng.normal(size=n) + 1j * rng.normal(size=n)
+        target[0] = 0.0
+        return linalg.PlaneRotationOp(0, target / np.linalg.norm(target))
+
+    def block():
+        return linalg.PermutationOp(rng.permutation(4)) if tail == "structured" else random_unitary(rng, 4)
+
+    return QuantumAutomaton(
+        states=tuple(f"s{i}" for i in range(n)),
+        alphabet=("a", "b"),
+        accepting=frozenset(i for i, r in enumerate(roles) if r == "a"),
+        rejecting=frozenset(i for i, r in enumerate(roles) if r == "r"),
+        initial=initial / np.linalg.norm(initial),
+        unitaries={
+            sym: linalg.ComposedOp([
+                entry(),
+                linalg.BlockDiagOp([linalg.TensorPowerOp(random_unitary(rng, 2), 2), block()]),
+            ])
+            for sym in ("a", "b", "^", "$")
+        },
+    )
+
+
 # empty accepting or rejecting sets, no halting state, every state halting
 EDGE_ROLES = ("n", "a", "r", "ar", "nn", "nna", "nnr", "aarr", "nnnnnnnn", "narnarna")
 
@@ -472,6 +511,13 @@ def plan_cases():
         ("top-level-ops", top_level_ops_qfa),
     ]
     cases += [(f"tree-{s}", lambda s=s: random_tree_qfa(s)) for s in range(8)]
+    # every state halting (an empty residue), none halting, and a mix
+    cases += [
+        (f"entry-{roles}-{first}-{tail}", lambda r=roles, f=first, t=tail: residue_entry_qfa(r, f, t))
+        for roles in ("aarraara", "nnnnnnnn", "rnannrna")
+        for first in ("permutation", "rotation")
+        for tail in ("structured", "mixed")
+    ]
     return cases
 
 
@@ -577,12 +623,12 @@ class TestPlan:
         assert len(stages) == one_lowering
 
     def test_plan_kind_follows_operator_types(self):
-        # both plans keep the non-halting, then the accepting, then the
-        # rejecting states, each in index order, and lower into that order
+        # dense, structured and operator-tree plans alike keep the
+        # non-halting, then the accepting, then the rejecting states, each in
+        # index order, lower into that order and step residues of shape (k,)
         rng = np.random.default_rng(0)
-        for q in (random_dense_qfa(5, "anrnan"), modp_qfa(5, seed=0)):
+        for q in (random_dense_qfa(5, "anrnan"), modp_qfa(5, seed=0), random_tree_qfa(0)):
             plan, n = q.plan, q.dim
-            dense = all(isinstance(m, np.ndarray) for m in q.unitaries.values())
             order = sorted(q.non_halting) + sorted(q.accepting) + sorted(q.rejecting)
             k, h = len(q.non_halting), n - len(q.rejecting)
             assert (plan.non, plan.acc, plan.rej) == (slice(k), slice(k, h), slice(h, n))
@@ -590,40 +636,50 @@ class TestPlan:
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             for sym, m in q.unitaries.items():
                 assert_close(plan.apply[sym](v[order]), (v @ linalg.to_dense(m))[order])
-            p_acc, p_rej, psi = plan.begin()
+                live = np.where(np.isin(np.arange(n), order[:k]), v, 0)  # v on the non-halting states
+                assert_close(plan.apply[sym](v[order][:k]), (live @ linalg.to_dense(m))[order])
+
+            def assert_observed(d_acc, d_rej, psi, full):
+                assert psi.shape == (k,)
+                assert_close((d_acc, d_rej), (linalg.norm_squared(full[k:h]), linalg.norm_squared(full[h:])))
+                assert_close(psi, full[:k])
+
+            full = q.initial[order]  # the dense reference, in the plan's order
+            d_acc, d_rej, psi = plan.begin()
+            assert_observed(d_acc, d_rej, psi, full)
             for sym in ("^", "a", "a", "$"):
                 before = psi.copy()
-                d_acc, d_rej, out = plan.observe(psi, plan.ops[sym])
+                d_acc, d_rej, out = plan.observe(psi, plan.apply[sym])
                 assert np.array_equal(psi, before)  # a residue is never written to
-                full = np.zeros(n, dtype=complex)
-                full[: len(psi)] = psi
-                want = full @ linalg.to_dense(q.unitaries[sym])[np.ix_(order, order)]
-                assert_close((d_acc, d_rej), (linalg.norm_squared(want[k:h]), linalg.norm_squared(want[h:])))
-                assert_close(out[:k], want[:k])
-                # a dense residue lives in the non-halting subspace, a
-                # structured one is a full vector with its halting tail cleared
-                assert out.shape == ((k,) if dense else (n,))
-                assert not out[k:].any()
+                full = np.concatenate([full[:k], np.zeros(n - k)]) @ linalg.to_dense(q.unitaries[sym])[np.ix_(order, order)]
+                assert_observed(d_acc, d_rej, out, full)
                 psi = out
-            assert dense == (plan.ops is not plan.apply)
 
     def test_amplified_steps_allocate_at_most_one_and_a_half_vectors(self):
-        # the a step copies its input once and runs the tensor kernel in place
-        # on the non-halting slice; the $ step is one gather; neither
-        # observation allocates
+        # the a step places the residue in one new full vector and runs the
+        # tensor kernel in place on its non-halting slice; the $ step is one
+        # scatter; neither observation allocates
         q = modp_qfa_amplified(31, 0.6, seed=0)
         plan = q.plan
         psi = plan.begin()[2]
         for sym in ("^", "a"):
-            psi = plan.observe(psi, plan.ops[sym])[2]
+            psi = plan.observe(psi, plan.apply[sym])[2]
+        full = 16 * q.dim  # bytes of one complex vector of the automaton's size
+        assert q.dim == 57_345 and psi.shape == (len(q.non_halting),)
         for sym, vectors in (("a", 1.5), ("$", 1.0)):
             tracemalloc.start()
             try:
-                plan.observe(psi, plan.ops[sym])
+                plan.observe(psi, plan.apply[sym])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= vectors * psi.nbytes + 64 * 1024, (sym, peak / psi.nbytes)
+            assert peak <= vectors * full + 64 * 1024, (sym, peak / full)
+        # between runs the plan keeps only the initial vector's nonzero
+        # amplitudes and their positions, no vector of the automaton's size
+        held = [c.cell_contents for f in (plan.begin, plan.observe, plan.initial) for c in f.__closure__]
+        held += [x for cell in held if isinstance(cell, tuple) for x in cell]
+        arrays = [x for x in held if isinstance(x, np.ndarray)]
+        assert len(arrays) == 2 and all(x.size == np.count_nonzero(q.initial) for x in arrays)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 4), (4, 4), (3,)])
     def test_wrongly_shaped_dense_unitary(self, shape):

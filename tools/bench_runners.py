@@ -24,7 +24,7 @@ reported in microseconds.
 
 For each structured automaton it also times one measure-many step on the
 residue after ``^ a``, for the letter ``a`` and for the right endmarker: the
-whole step (``plan.observe(psi, plan.ops[sym])``), the lowered operator alone
+whole step (``plan.observe(psi, plan.apply[sym])``), the lowered operator alone
 (``apply``) and the observation alone (``observe``: the step with an operator
 that returns a ready output vector).  Each is timed as 7 passes of
 ``STEP_REPS`` calls after one warm-up pass, reported like the runners.
@@ -170,13 +170,15 @@ def time_call(fn, runs, reps):
 def time_steps(q, runs):
     """One measure-many step of ``a`` and of ``$``, split into apply and observe."""
     plan = q.plan
+    # checkouts with two plan kinds step through ``ops``, later ones through ``apply``
+    ops = plan.ops if hasattr(plan, "ops") else plan.apply
     psi = plan.begin()[2]
     for sym in ("^", "a"):
-        psi = plan.observe(psi, plan.ops[sym])[2]
+        psi = plan.observe(psi, ops[sym])[2]
     steps = {}
     for sym in ("a", "$"):
-        op = plan.ops[sym]
-        ready = op(psi)  # observing it again costs the same: masses and a clear
+        op = ops[sym]
+        ready = op(psi)  # observing it again costs the same
         steps[sym] = {
             "step": time_call(lambda: plan.observe(psi, op), runs, STEP_REPS),
             "apply": time_call(lambda: op(psi), runs, STEP_REPS),
