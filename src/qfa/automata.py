@@ -99,6 +99,9 @@ class RunPlan:
         if q.accepting & q.rejecting:
             raise ValueError(f"overlapping partition: {sorted(q.accepting & q.rejecting)}")
         n = q.initial.shape[0]
+        outside = sorted(i for i in q.accepting | q.rejecting if not 0 <= i < n)
+        if outside:
+            raise ValueError(f"halting indices outside 0..{n - 1}: {outside}")
         accepting = np.array(sorted(q.accepting), dtype=np.intp)
         rejecting = np.array(sorted(q.rejecting), dtype=np.intp)
         halting = np.zeros(n, dtype=bool)
@@ -232,9 +235,10 @@ class ProbabilisticAutomaton:
 class RunOutcome:
     """Accept/reject/never-halt probabilities of one run.
 
-    ``trace`` holds the cumulative (p_acc, p_rej) after each symbol for the
-    runners that observe step by step; it is empty for a measure-once run and
-    for each scan of a multi-scan run.
+    ``trace`` holds the cumulative (p_acc, p_rej) after each symbol of a
+    ``run_measure_many`` or ``run_prfa`` run; it is empty for a measure-once
+    run, for each scan of a multi-scan run and for each prefix of
+    ``run_prefixes``.
     """
 
     p_acc: float

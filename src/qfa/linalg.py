@@ -127,16 +127,16 @@ def complete_unitary(partial, specified_rows) -> np.ndarray:
     specified = sorted(set(specified_rows))
     if any(i < 0 or i >= n for i in specified):
         raise ValueError("specified row index out of range")
-    rows = [m[i] for i in specified]
-    if rows:
-        gram = np.array([[np.vdot(a, b) for b in rows] for a in rows])
-        defect = float(np.abs(gram - np.eye(len(rows))).max())
+    given = m[specified]
+    if specified:
+        gram = given.conj() @ given.T
+        defect = float(np.abs(gram - np.eye(len(specified))).max())
         if defect > DEFAULT_TOL:
             raise NotCompletableError(
                 f"specified rows are not orthonormal (deviation {defect:.3e} > {DEFAULT_TOL:.1e})"
             )
 
-    basis = list(rows)
+    basis = list(given)
     extension = []
     for pivot in range(n):
         if len(extension) == n - len(specified):
@@ -159,9 +159,9 @@ def complete_unitary(partial, specified_rows) -> np.ndarray:
         raise NotCompletableError("could not find enough orthonormal complement vectors")
 
     out = np.zeros((n, n), dtype=complex)
-    for i in specified:
-        out[i] = m[i]
-    unspecified = [i for i in range(n) if i not in set(specified)]
+    out[specified] = given
+    taken = set(specified)
+    unspecified = [i for i in range(n) if i not in taken]
     for i, row in zip(unspecified, extension):
         out[i] = row
     return out

@@ -1,10 +1,10 @@
 """Exact runners for every execution model.
 
 ``run_measure_many`` observes after every letter (the general model used
-throughout), ``run_prefixes`` gives its outcome on every prefix of a word in
-one pass, ``run_measure_once`` applies a single observation at the end,
-``run_multiscan`` repeats the measure-many pass over the tape, and
-``run_prfa`` / ``run_dfa`` cover the classical machines.
+throughout), ``run_prefixes`` gives its probabilities on every prefix of a
+word in one pass, without traces, ``run_measure_once`` applies a single
+observation at the end, ``run_multiscan`` repeats the measure-many pass over
+the tape, and ``run_prfa`` / ``run_dfa`` cover the classical machines.
 
 The non-halting residue after the right endmarker is reported as ``p_non``
 and never folded into rejection.  Residues are propagated un-renormalized,
@@ -74,22 +74,18 @@ def run_measure_many(q: QuantumAutomaton, word) -> RunOutcome:
 def run_prefixes(q: QuantumAutomaton, word) -> list:
     """Measure-many outcome of every prefix of ``word`` in one pass.
 
-    Entry j equals ``run_measure_many(q, word[:j])``, trace included: the
-    residue after ^ word[:j] is shared by all longer prefixes, and the right
-    endmarker is applied to it once per prefix.
+    Entry j has the probabilities of ``run_measure_many(q, word[:j])``, bit
+    for bit, and an empty trace: the residue after ^ word[:j] is shared by
+    all longer prefixes, and the right endmarker is applied to it once per
+    prefix, so time and memory are linear in the word.
     """
     observe, end = q.plan.observe, q.plan.apply[RIGHT_END]
-    trace = []
     outcomes = []
     for p_acc, p_rej, psi in _measure_many(q, _working_stream(q, word)[:-1]):
-        trace.append((p_acc, p_rej))
         e_acc, e_rej, rest = observe(psi, end)
         p_non = linalg.norm_squared(rest)
         del rest  # one state vector fewer alive during the next step
-        final = (p_acc + e_acc, p_rej + e_rej)
-        outcomes.append(
-            RunOutcome(p_acc=final[0], p_rej=final[1], p_non=p_non, trace=tuple(trace) + (final,))
-        )
+        outcomes.append(RunOutcome(p_acc + e_acc, p_rej + e_rej, p_non))
     return outcomes
 
 

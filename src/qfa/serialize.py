@@ -111,6 +111,15 @@ def _lookups(index: dict, names, what: str) -> frozenset:
         return frozenset(_lookup(index, name, what) for name in names)
 
 
+def _check_indices(n_states: int, what: str, *groups):
+    """Refuse, before a file is opened, an index in ``groups`` that names none
+    of ``n_states`` states: a negative one would save as a state counted
+    from the end."""
+    indices = list(chain(*groups))
+    if indices and not (0 <= min(indices) and max(indices) < n_states):
+        raise FileFormatError(f"cannot save: {what} index names no state")
+
+
 def _amp_out(z: complex):
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -184,6 +193,7 @@ def _operator_in(obj, state_index=None):
 
 
 def qfa_to_dict(q: QuantumAutomaton) -> dict:
+    _check_indices(len(q.states), "an accepting or rejecting", q.accepting, q.rejecting)
     return {
         "format_version": FORMAT_VERSION,
         "kind": "qfa",
@@ -265,9 +275,7 @@ def _classical_text(c: ClassicalAutomaton):
         raise FileFormatError("cannot save: state names and symbols must be strings")
     if len(set(c.states)) != c.n_states:
         raise FileFormatError("cannot save: duplicate state names")
-    indices = (c.start,), c.accepting, c.rejecting
-    if not (0 <= min(chain(*indices)) and max(chain(*indices)) < c.n_states):
-        raise FileFormatError("cannot save: a start, accepting or rejecting index names no state")
+    _check_indices(c.n_states, "a start, accepting or rejecting", (c.start,), c.accepting, c.rejecting)
     fits = table.shape == (c.n_states, len(symbols))
     if not (fits and -1 <= table.min(initial=-1) and table.max(initial=-1) < c.n_states):
         raise FileFormatError("cannot save: a transition names no state or symbol of the automaton")
@@ -360,6 +368,15 @@ def classical_from_dict(doc: dict) -> ClassicalAutomaton:
 
 
 def prfa_to_dict(p: ProbabilisticAutomaton) -> dict:
+    _check_indices(
+        p.n_states,
+        "an accepting, rejecting, initial or transition",
+        p.accepting,
+        p.rejecting,
+        (s for s, _ in p.initial_distribution),
+        (s for s, _ in p.transitions),
+        (t for edges in p.transitions.values() for t, _ in edges),
+    )
     transitions = {}
     for (s, a), edges in sorted(p.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         transitions.setdefault(p.states[s], {})[a] = [

@@ -180,6 +180,11 @@ class TestEquivDist:
         assert "tv_distance=0.000000000000" in out
 
 
+def prfa_with_edge_to(target):
+    p = random_prfa(1)
+    return dataclasses.replace(p, transitions={**p.transitions, (0, "a"): [(target, 1.0)]})
+
+
 class TestRoundTrip:
     def test_identical_simulation_after_round_trip(self, tmp_path):
         corpus = ["", "a", "aa", "aaa", "a" * 7]
@@ -224,13 +229,27 @@ class TestRoundTrip:
             (lambda: dataclasses.replace(astar_dfa(), start=2), serialize.FileFormatError),
             (lambda: dataclasses.replace(astar_dfa(), accepting=frozenset({5})), serialize.FileFormatError),
             (lambda: dataclasses.replace(astar_dfa(), rejecting=frozenset({-1})), serialize.FileFormatError),
-            (lambda: dataclasses.replace(example_qfa(), rejecting=frozenset({7})), IndexError),
-            (lambda: dataclasses.replace(random_prfa(0), accepting=frozenset({99})), IndexError),
+            (lambda: dataclasses.replace(example_qfa(), rejecting=frozenset({7})), serialize.FileFormatError),
+            (lambda: dataclasses.replace(random_prfa(0), accepting=frozenset({99})), serialize.FileFormatError),
             (lambda: dataclasses.replace(example_qfa(), unitaries={**example_qfa().unitaries, "a": object()}),
              serialize.FileFormatError),
+            # an index of -1 would otherwise save as the last state; n is one past the end
+            (lambda: dataclasses.replace(example_qfa(), accepting=frozenset({-1})), serialize.FileFormatError),
+            (lambda: dataclasses.replace(example_qfa(), accepting=frozenset({4})), serialize.FileFormatError),
+            (lambda: dataclasses.replace(random_prfa(1), accepting=frozenset({-1})), serialize.FileFormatError),
+            (lambda: dataclasses.replace(random_prfa(1), accepting=frozenset({2})), serialize.FileFormatError),
+            (lambda: dataclasses.replace(random_prfa(1), initial_distribution=((-1, 1.0),)),
+             serialize.FileFormatError),
+            (lambda: dataclasses.replace(random_prfa(1), initial_distribution=((2, 1.0),)),
+             serialize.FileFormatError),
+            (lambda: prfa_with_edge_to(-1), serialize.FileFormatError),
+            (lambda: prfa_with_edge_to(2), serialize.FileFormatError),
         ],
         ids=["dfa-start-negative", "dfa-start-past-end", "dfa-accepting", "dfa-rejecting",
-             "qfa-halting", "prfa-halting", "qfa-unknown-operator"],
+             "qfa-halting", "prfa-halting", "qfa-unknown-operator",
+             "qfa-accepting-negative", "qfa-accepting-past-end", "prfa-accepting-negative",
+             "prfa-accepting-past-end", "prfa-initial-negative", "prfa-initial-past-end",
+             "prfa-edge-negative", "prfa-edge-past-end"],
     )
     def test_save_refuses_before_opening_the_file(self, tmp_path, change, error):
         path = tmp_path / "kept.json"
@@ -239,6 +258,9 @@ class TestRoundTrip:
         with pytest.raises(error):
             serialize.save(change(), str(path))
         assert path.read_bytes() == before
+        with pytest.raises(error):
+            serialize.save(change(), str(tmp_path / "never.json"))
+        assert not (tmp_path / "never.json").exists()
 
     def test_partial_rows_completed_at_load(self, tmp_path):
         doc = {

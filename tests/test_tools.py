@@ -36,14 +36,17 @@ def quartiles_in_order(timing, unit):
 def test_bench_runners_steps_and_runner(harness):
     bench = harness("bench_runners")
     q = constructions.modp_qfa(5)
-    # two timed passes: statistics.quantiles takes no fewer before Python 3.13
-    steps = bench.time_steps(q, 2)
-    assert sorted(steps) == ["$", "a"]
-    for parts in steps.values():
-        assert sorted(parts) == ["apply", "observe", "step"]
-        assert all(quartiles_in_order(t, "us") for t in parts.values())
-    timing = bench.time_runner(lambda w: semantics.run_measure_many(q, w), ["", "a", "aa"], 2)
-    assert quartiles_in_order(timing, "us")
+    for runs in (1, 2):
+        steps = bench.time_steps(q, runs)
+        assert sorted(steps) == ["$", "a"]
+        for parts in steps.values():
+            assert sorted(parts) == ["apply", "observe", "step"]
+            assert all(quartiles_in_order(t, "us") for t in parts.values())
+        timing = bench.time_runner(lambda w: semantics.run_measure_many(q, w), ["", "a", "aa"], runs)
+        assert quartiles_in_order(timing, "us")
+    # a single run is its own median and quartiles
+    one_run = bench.time_runner(lambda w: None, ["", "a"], 1), bench.time_call(lambda: None, 1, 3)
+    assert all(len(set(t.values())) == 1 for t in one_run)
 
 
 def test_bench_analysis_generator_and_timer(harness):
@@ -51,5 +54,8 @@ def test_bench_analysis_generator_and_timer(harness):
     bench = harness("bench_analysis")
     dfa = bench.generated_dfa(3, merge=True)
     assert automata.validate_classical(dfa) == [] and dfa.alphabet == ("a", "b", "c")
-    timing, minimal = bench.time_call(analysis.minimize_dfa, 2, lambda: dfa)
-    assert quartiles_in_order(timing, "ms") and minimal.n_states == 3
+    for runs in (1, 2):
+        timing, minimal = bench.time_call(analysis.minimize_dfa, runs, lambda: dfa)
+        assert quartiles_in_order(timing, "ms") and minimal.n_states == 3
+    # a single run is its own median and quartiles
+    assert len(set(bench.time_call(analysis.minimize_dfa, 1, lambda: dfa)[0].values())) == 1

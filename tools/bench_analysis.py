@@ -44,12 +44,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import statistics
 import sys
 import tempfile
 import time
 
-from bench_runners import ROOT, machine_info, store_result
+from bench_runners import ROOT, machine_info, quartiles, store_result
 
 BLOCK_SIZES = range(8, 13)
 RUNS = 7
@@ -91,8 +90,7 @@ def time_call(fn, runs, setup=lambda: None):
         t0 = time.perf_counter()
         result = fn(arg)
         times.append((time.perf_counter() - t0) * 1e3)
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"median_ms": round(median, 3), "q1_ms": round(q1, 3), "q3_ms": round(q3, 3)}, result
+    return quartiles(times, "ms"), result
 
 
 def main(argv=None) -> int:

@@ -140,6 +140,16 @@ def store_result(path: str, label: str, result: dict):
         fh.write("\n")
 
 
+def quartiles(values, unit):
+    """Median and quartiles of ``values``, rounded, keyed as ``median_<unit>``
+    and so on; a single value is its own median and quartiles."""
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {f"median_{unit}": round(median, 3), f"q1_{unit}": round(q1, 3), f"q3_{unit}": round(q3, 3)}
+
+
 def time_runner(fn, words, runs):
     for w in words[:WARMUP_WORDS]:
         fn(w)
@@ -149,8 +159,7 @@ def time_runner(fn, words, runs):
         for w in words:
             fn(w)
         per_word.append((time.perf_counter() - t0) / len(words) * 1e6)
-    q1, median, q3 = statistics.quantiles(per_word, n=4, method="inclusive")
-    return {"median_us": round(median, 3), "q1_us": round(q1, 3), "q3_us": round(q3, 3)}
+    return quartiles(per_word, "us")
 
 
 def time_call(fn, runs, reps):
@@ -163,8 +172,7 @@ def time_call(fn, runs, reps):
         for _ in range(reps):
             fn()
         per_call.append((time.perf_counter() - t0) / reps * 1e6)
-    q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
-    return {"median_us": round(median, 3), "q1_us": round(q1, 3), "q3_us": round(q3, 3)}
+    return quartiles(per_call, "us")
 
 
 def time_steps(q, runs):
